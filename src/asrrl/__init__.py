@@ -1,14 +1,11 @@
 """RL refinement of speaker embeddings in a seeded synthetic voice space."""
 
 from .core import (
-    EpisodeStep,
-    EpisodeTrace,
     FSAction,
     RLConfig,
     SSAction,
     StateLayout,
     apply_ss,
-    flatten_state,
     fuse_fs,
     mean_init,
 )
@@ -19,14 +16,12 @@ from .scoring import (
     ScorerFault,
     fuse_scores,
     score_speech,
-    step_reward,
 )
 from .env import (
     SpeakerProfile,
     SyntheticVoiceEnv,
     TradeoffEnv,
     Transition,
-    make_tradeoff_env,
     oracle_best,
 )
 from .agent import (

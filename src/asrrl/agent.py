@@ -368,14 +368,7 @@ def save_checkpoint(policy: PolicyNetwork, path, *, config: RLConfig,
     """Write a single JSON checkpoint with exact float64 round-trip."""
     cfg = asdict(config)
     cfg["scenario"] = policy.scenario
-    cfg["layout"] = {
-        "d_t": policy.layout.d_t, "d_e": policy.layout.d_e,
-        "d_v": policy.layout.d_v,
-        "include_f_t": policy.layout.include_f_t,
-        "include_f_rv": policy.layout.include_f_rv,
-        "include_e_s": policy.layout.include_e_s,
-        "include_f_sv": policy.layout.include_f_sv,
-    }
+    cfg["layout"] = asdict(policy.layout)
     doc = {
         "version": CHECKPOINT_VERSION,
         "config": cfg,
@@ -401,29 +394,48 @@ def load_checkpoint(path) -> tuple[PolicyNetwork, RLConfig, int, np.random.Gener
         raise CheckpointError(
             f"corrupt checkpoint: invalid JSON at offset {exc.pos}"
         ) from exc
-    if not isinstance(doc, dict) or doc.get("version") != CHECKPOINT_VERSION:
+    if not isinstance(doc, dict):
+        raise CheckpointError(
+            f"corrupt checkpoint: expected a JSON object, got {type(doc).__name__}"
+        )
+    if doc.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version {doc.get('version')!r}, "
             f"expected {CHECKPOINT_VERSION}"
         )
-    cfg = dict(doc["config"])
-    scenario = cfg.pop("scenario")
-    layout = StateLayout(**cfg.pop("layout"))
-    config = RLConfig(**cfg)
-    policy = PolicyNetwork(
-        layout, scenario, k=config.k, hidden=config.hidden,
-        encoder=config.encoder, rng=np.random.default_rng(0),
-    )
+    missing = [key for key in ("config", "params", "step") if key not in doc]
+    if missing:
+        raise CheckpointError(f"corrupt checkpoint: missing {', '.join(missing)}")
+    if not isinstance(doc["params"], dict):
+        raise CheckpointError("corrupt checkpoint: params is not a JSON object")
+    try:
+        cfg = dict(doc["config"])
+        scenario = cfg.pop("scenario")
+        layout = StateLayout(**cfg.pop("layout"))
+        config = RLConfig(**cfg).validate()
+        policy = PolicyNetwork(
+            layout, scenario, k=config.k, hidden=config.hidden,
+            encoder=config.encoder, rng=np.random.default_rng(0),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"corrupt checkpoint config: {exc!r}") from exc
     for name, arr in policy.params.items():
         if name not in doc["params"]:
             raise CheckpointError(f"checkpoint missing parameter {name!r}")
         entry = doc["params"][name]
-        data = np.asarray(entry["data"], dtype=np.float64)
-        shape = tuple(entry["shape"])
+        try:
+            data = np.asarray(entry["data"], dtype=np.float64)
+            shape = tuple(entry["shape"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"corrupt parameter {name!r}: {exc!r}") from exc
         if data.size != int(np.prod(shape)) or shape != arr.shape:
             raise CheckpointError(
                 f"parameter {name!r} has shape {shape} with {data.size} values, "
                 f"expected shape {arr.shape}"
             )
         policy.params[name] = data.reshape(shape)
-    return policy, config, int(doc["step"]), _rng_from_hex(doc.get("rng", ""))
+    try:
+        step, rng = int(doc["step"]), _rng_from_hex(doc.get("rng", ""))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"corrupt checkpoint step or rng: {exc!r}") from exc
+    return policy, config, step, rng

@@ -1,6 +1,7 @@
 """Command-line front-end.
 
-Exit codes: 0 success, 2 config error, 3 divergence abort, 4 I/O error.
+Exit codes: 0 success, 2 config error, 3 divergence abort, 4 I/O error
+(including an unreadable or malformed checkpoint).
 """
 
 from __future__ import annotations
@@ -10,8 +11,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
+from .agent import CheckpointError
 from .core import RLConfig, mean_init
 from .harness import (
     ConfigError,
@@ -29,6 +29,7 @@ from .harness import (
     train,
     write_rows,
 )
+from .scoring import RewardWeights
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,7 +53,8 @@ def _spec_from_args(args, corpus) -> ExperimentSpec:
         **({"seed": args.seed} if args.seed is not None else {}),
     )
     return ExperimentSpec(config=cfg, scenario=args.scenario,
-                          run_id=args.run_id, out_dir=Path(args.out))
+                          run_id=args.run_id, out_dir=Path(args.out),
+                          weights=RewardWeights(cfg.lambda1, cfg.lambda2))
 
 
 def _print_summary(result):
@@ -140,8 +142,7 @@ def run(argv=None) -> int:
 
     if args.command == "baseline":
         if args.method in ("raw", "oracle"):
-            result = evaluate(None, spec, corpus, variants=(args.method,),
-                              include_oracle=args.method == "oracle")
+            result = evaluate(None, spec, corpus, variants=(args.method,))
             _print_summary(result)
             return EXIT_OK
         env, profiles, texts = build_env(spec, corpus)
@@ -152,9 +153,8 @@ def run(argv=None) -> int:
             f_t = texts[si][0]
             _, best_sc = finetune_proxy(env, profile, f_t, steps=args.ft_steps,
                                         step_size=args.ft_step_size)
-            e0 = profile.refs[0] if spec.scenario == "ss" else mean_init(profile.refs)
             rows.append({"speaker": profile.speaker_id,
-                         "raw_fused": env.fused(f_t, e0, profile),
+                         "raw_fused": env.fused(f_t, mean_init(profile.refs), profile),
                          "finetune_fused": best_sc})
         for r in rows:
             print(f"speaker {r['speaker']}: raw {r['raw_fused']:.4f} "
@@ -188,7 +188,7 @@ def main(argv=None) -> None:
     except DivergenceError as exc:
         print(f"divergence abort: {exc}", file=sys.stderr)
         code = EXIT_DIVERGED
-    except OSError as exc:
+    except (OSError, CheckpointError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         code = EXIT_IO
     sys.exit(code)

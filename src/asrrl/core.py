@@ -7,18 +7,12 @@ their inputs, and are safe to call from any number of threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 SEP_VALUE = 0.0
-
-# Fixed concatenation order of the state vector.  "sep" is a single
-# sentinel slot; the trailing three segments are optional ablation
-# segments (prior voiceprint, posterior embedding, posterior voiceprint).
-SEGMENT_ORDER = ("f_t", "sep", "e", "f_rv", "e_s", "f_sv")
-OPTIONAL_SEGMENTS = ("f_rv", "e_s", "f_sv")
 
 
 def _as_vector(x, name: str) -> np.ndarray:
@@ -113,38 +107,6 @@ class StateLayout:
         return out
 
 
-def flatten_state(
-    f_t: np.ndarray,
-    e: np.ndarray,
-    layout: StateLayout | None = None,
-    **optional: np.ndarray,
-) -> np.ndarray:
-    """Build a flattened state vector [f_t | 0 | e | optional segments].
-
-    Without an explicit layout, one is inferred from the provided
-    segments; unknown optional segment names are rejected.
-    """
-    for name in optional:
-        if name not in OPTIONAL_SEGMENTS:
-            raise ValueError(f"unknown optional segment {name!r}")
-    if layout is None:
-        f_t = _as_vector(f_t, "f_t")
-        e = _as_vector(e, "e")
-        d_v = 0
-        for name in ("f_rv", "f_sv"):
-            if name in optional:
-                d_v = _as_vector(optional[name], name).shape[0]
-        layout = StateLayout(
-            d_t=f_t.shape[0],
-            d_e=e.shape[0],
-            d_v=d_v,
-            include_f_rv="f_rv" in optional,
-            include_e_s="e_s" in optional,
-            include_f_sv="f_sv" in optional,
-        )
-    return layout.flatten(f_t, e, **optional)
-
-
 @dataclass(frozen=True)
 class SSAction:
     """Additive refinement of the embedding; components in [-1, 1] pre-scale."""
@@ -216,7 +178,8 @@ def fuse_fs(
 
 
 def mean_init(refs: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Componentwise mean of the reference embeddings (FS initial state)."""
+    """Componentwise mean of the reference embeddings: the initial
+    embedding of every episode and baseline (at k=1, exactly refs[0])."""
     refs = np.asarray(refs, dtype=np.float64)
     if refs.ndim != 2 or refs.shape[0] < 1:
         raise ValueError(
@@ -278,34 +241,3 @@ class RLConfig:
     def with_overrides(self, **kwargs) -> "RLConfig":
         return replace(self, **kwargs).validate()
 
-
-@dataclass
-class EpisodeStep:
-    state: np.ndarray
-    action: Action
-    score: "object"  # ScoreTriple; kept loose to avoid a circular import
-    fused: float
-    reward: float
-    done: bool
-
-
-@dataclass
-class EpisodeTrace:
-    """Per-step record of one episode, for training and audit."""
-
-    steps: list[EpisodeStep] = field(default_factory=list)
-
-    def append(self, step: EpisodeStep) -> None:
-        if self.steps and self.steps[-1].done:
-            raise ValueError("cannot append to a finished episode")
-        self.steps.append(step)
-
-    @property
-    def total_reward(self) -> float:
-        return float(sum(s.reward for s in self.steps))
-
-    def check(self) -> None:
-        """Validate the done-flag contract: exactly one done, at the end."""
-        flags = [s.done for s in self.steps]
-        if sum(flags) != 1 or not flags[-1]:
-            raise ValueError("exactly the last step must have done=True")

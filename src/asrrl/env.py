@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -128,12 +129,8 @@ class _EnvBase:
                     profile: SpeakerProfile) -> np.ndarray:
         """Fused scores for many embeddings at once (internal path only)."""
         sim, mos, intell = self._triple_batch(f_t, E, profile)
-        sc = sim.copy()
-        if self.weights.enable_mos:
-            sc += self.weights.lambda1 * (mos / 5.0)
-        if self.weights.enable_intell:
-            sc -= self.weights.lambda2 * intell
-        return sc
+        return fuse_scores(SimpleNamespace(sim=sim, mos=mos, intell=intell),
+                           self.weights)
 
     # -- episode protocol --------------------------------------------------
     def _make_state(self, f_t: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -156,7 +153,7 @@ class _EnvBase:
         f_t = np.asarray(f_t, dtype=np.float64)
         self._profile = profile
         self._f_t = f_t
-        self._e = profile.refs[0].copy() if self.scenario == "ss" else mean_init(profile.refs)
+        self._e = mean_init(profile.refs)
         if self.layout.include_f_rv:
             _, self._f_rv = self._posterior(self.synth(f_t, self._e))
         self._step_count = 0
@@ -277,9 +274,6 @@ class SyntheticVoiceEnv(_EnvBase):
         target = self.voiceprint(self.f_t_cal, e_star)
         return SpeakerProfile(speaker_id, e_star, refs, target)
 
-    def random_text(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.standard_normal(self.d_t)
-
     # -- scoring -----------------------------------------------------------
     def _shell_scores(self, e_norm):
         mos = 5.0 * np.exp(-self.beta * np.maximum(0.0, e_norm - self.r_mos))
@@ -346,9 +340,6 @@ class TradeoffEnv(_EnvBase):
         refs = center + sigma_ref * rng.standard_normal((k, self.d_e))
         return SpeakerProfile(speaker_id, center, refs, self.w.copy())
 
-    def random_text(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.standard_normal(self.d_t)
-
     def _scores_from_proj(self, z):
         sim = _sigmoid(z)
         excess = np.maximum(0.0, z - self.tau)
@@ -362,11 +353,6 @@ class TradeoffEnv(_EnvBase):
 
     def _triple_batch(self, f_t, E, profile):
         return self._scores_from_proj(np.asarray(E, dtype=np.float64) @ self.w)
-
-
-def make_tradeoff_env(seed: int, w: np.ndarray, tau: float, **kwargs) -> TradeoffEnv:
-    """Construct the similarity/quality tradeoff environment."""
-    return TradeoffEnv(w, tau, seed=seed, **kwargs)
 
 
 MAX_GRID_POINTS = 10_000_000

@@ -12,7 +12,6 @@ Response: {"id": <u64>, "score": <f64>}  or  {"id": <u64>, "error": "<message>"}
 from __future__ import annotations
 
 import json
-import socket
 import subprocess
 import threading
 from typing import IO, Sequence
@@ -49,12 +48,6 @@ class ExternalScorerClient:
         client = cls(proc.stdout, proc.stdin, kind=kind)
         client._proc = proc
         return client
-
-    @classmethod
-    def connect(cls, host: str, port: int, kind: str = "sim") -> "ExternalScorerClient":
-        """Connect to a scorer listening on TCP."""
-        sock = socket.create_connection((host, port))
-        return cls(sock.makefile("rb"), sock.makefile("wb"), kind=kind)
 
     def close(self) -> None:
         try:

@@ -25,8 +25,7 @@ from .agent import (
     select_action,
 )
 from .core import RLConfig, StateLayout, mean_init
-from .env import (SpeakerProfile, SyntheticVoiceEnv, TradeoffEnv, oracle_best,
-                  oracle_zoom)
+from .env import SpeakerProfile, SyntheticVoiceEnv, TradeoffEnv, oracle_zoom
 from .scoring import RewardWeights, fuse_scores
 from .seeding import substream
 
@@ -253,18 +252,26 @@ def build_env(spec: ExperimentSpec, corpus: Corpus | None):
 
 # -- training --------------------------------------------------------------
 
+def _score_row(spec, cfg, episode, speaker, variant, triple, fused):
+    """One RUN_COLUMNS row of a train or evaluation run."""
+    return {
+        "run_id": spec.run_id, "scenario": spec.scenario, "gamma": cfg.gamma,
+        "action_scale": cfg.action_scale, "steps": spec.step_budget,
+        "seed": cfg.seed, "episode": episode, "speaker": speaker,
+        "variant": variant, "sim": triple.sim, "mos": triple.mos,
+        "intell": triple.intell, "fused": fused,
+    }
+
+
 def run_episode(env, policy: PolicyNetwork | None, profile, f_t, *,
                 rng=None, mode="sample"):
     """Play one episode; returns per-step arrays plus the final scores.
 
-    With policy=None no actions are applied conceptually: the episode is
-    skipped and the initial (raw) state is scored instead.
+    Step budgets are >= 1, so the final scores always come from a step.
     """
     state = env.reset(profile, f_t)
     sc0 = env.initial_fused
     states, raws, lps, rewards, values, dones = [], [], [], [], [], []
-    triple = env.score_state(f_t, env.embedding, profile)
-    fused = sc0
     done = False
     while not done:
         action, lp, value, raw = select_action(policy, state, rng=rng, mode=mode)
@@ -321,15 +328,8 @@ def train(spec: ExperimentSpec, corpus: Corpus | None = None, *,
             for k in parts:
                 parts[k].append(ep[k])
             n_steps += len(ep["rewards"])
-            rows.append({
-                "run_id": spec.run_id, "scenario": spec.scenario,
-                "gamma": cfg.gamma, "action_scale": cfg.action_scale,
-                "steps": spec.step_budget, "seed": cfg.seed,
-                "episode": episode, "speaker": profile.speaker_id,
-                "variant": "rl",
-                "sim": ep["final_triple"].sim, "mos": ep["final_triple"].mos,
-                "intell": ep["final_triple"].intell, "fused": ep["final_fused"],
-            })
+            rows.append(_score_row(spec, cfg, episode, profile.speaker_id, "rl",
+                                   ep["final_triple"], ep["final_fused"]))
             episode += 1
             drop_floor = ep["initial_fused"] - 0.5 * abs(ep["initial_fused"])
             if ep["final_fused"] < drop_floor:
@@ -400,29 +400,18 @@ class EvalResult:
         return out
 
 
-ORACLE_MAX_DIM = 3
 ORACLE_GRID_POINTS = 41
-
-
-def _score_row(spec, cfg, episode, speaker, variant, triple, fused):
-    return {
-        "run_id": spec.run_id, "scenario": spec.scenario, "gamma": cfg.gamma,
-        "action_scale": cfg.action_scale, "steps": spec.step_budget,
-        "seed": cfg.seed, "episode": episode, "speaker": speaker,
-        "variant": variant, "sim": triple.sim, "mos": triple.mos,
-        "intell": triple.intell, "fused": fused,
-    }
 
 
 def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
              corpus: Corpus | None = None, *, split: str = "eval",
-             include_oracle: bool | None = None,
              variants: tuple[str, ...] = ("rl", "raw")) -> EvalResult:
     """Mode-action evaluation on the chosen speaker split.
 
     Emits spec.eval_episodes episodes per speaker for the rl variant,
     one scored row per (speaker, text) for raw, and a grid-oracle row
-    per (speaker, text) when d_e permits.
+    per (speaker, text) for oracle; oracle_best refuses grids too large
+    for d_e.
     """
     cfg = spec.config
     env, profiles, texts = build_env(spec, corpus)
@@ -438,8 +427,6 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
         idx = list(range(len(profiles)))
     if not idx:
         raise ConfigError(f"split {split!r} is empty")
-    if include_oracle is None:
-        include_oracle = cfg.d_e <= ORACLE_MAX_DIM and "oracle" in variants
     rows = []
     for si in idx:
         profile, spk_texts = profiles[si], texts[si]
@@ -453,12 +440,10 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
         for ti in range(n_texts):
             f_t = spk_texts[ti]
             if "raw" in variants:
-                e0 = (profile.refs[0] if spec.scenario == "ss"
-                      else mean_init(profile.refs))
-                triple = env.score_state(f_t, e0, profile)
+                triple = env.score_state(f_t, mean_init(profile.refs), profile)
                 rows.append(_score_row(spec, cfg, ti, profile.speaker_id, "raw",
                                        triple, fuse_scores(triple, spec.weights)))
-            if include_oracle:
+            if "oracle" in variants:
                 margin = (spec.step_budget * cfg.action_scale
                           + 4.0 * getattr(env, "sigma_ref", 0.0)
                           + 4.0 * getattr(env, "sigma_star", 0.0))
@@ -477,10 +462,10 @@ def evaluate_checkpoint(checkpoint_path, corpus_path, *, split: str = "eval",
     """Load a checkpoint and corpus, cross-check dims, and evaluate."""
     policy, cfg, _, _ = load_checkpoint(checkpoint_path)
     corpus = load_corpus(corpus_path)
-    if spec is None:
-        spec = ExperimentSpec(config=cfg, scenario=policy.scenario)
-    else:
-        spec = replace(spec, config=cfg, scenario=policy.scenario)
+    spec = spec or ExperimentSpec()
+    spec = replace(spec, config=cfg, scenario=policy.scenario,
+                   weights=replace(spec.weights, lambda1=cfg.lambda1,
+                                   lambda2=cfg.lambda2))
     if corpus.meta["d_e"] != cfg.d_e or corpus.meta["d_t"] != cfg.d_t:
         raise ConfigError(
             f"checkpoint dims (d_e={cfg.d_e}, d_t={cfg.d_t}) do not match "
@@ -501,7 +486,7 @@ def finetune_proxy(env, profile, f_t, *, steps: int = 2000,
     """
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
-    e = (profile.refs[0] if profile.k == 1 else mean_init(profile.refs)).copy()
+    e = mean_init(profile.refs)
     d = e.shape[0]
     best_e, best_sc = e.copy(), env.fused(f_t, e, profile)
     for _ in range(steps):

@@ -67,25 +67,20 @@ class RewardWeights:
             raise ValueError("reward weights must be non-negative")
 
 
-def fuse_scores(t: ScoreTriple, w: RewardWeights = RewardWeights()) -> float:
-    """Scalar fused score. MOS is divided by 5 to unify the scales.
+def fuse_scores(t: ScoreTriple, w: RewardWeights = RewardWeights()):
+    """Fused score. MOS is divided by 5 to unify the scales.
 
-    With default weights the result lies in [-0.1, 1.5]. A disabled term
+    ``t`` may hold floats (a ScoreTriple) or equal-length arrays, which
+    give an array of fused scores; inputs are never modified. With
+    default weights the result lies in [-0.1, 1.5]. A disabled term
     contributes exactly 0, identical to setting its weight to 0.
     """
     sc = t.sim
     if w.enable_mos:
-        sc += w.lambda1 * (t.mos / 5.0)
+        sc = sc + w.lambda1 * (t.mos / 5.0)
     if w.enable_intell:
-        sc -= w.lambda2 * t.intell
+        sc = sc - w.lambda2 * t.intell
     return sc
-
-
-def step_reward(sc_n: float, sc_prev: float) -> float:
-    """Delta reward r_n = sc_n - sc_prev."""
-    if not (math.isfinite(sc_n) and math.isfinite(sc_prev)):
-        raise ValueError("fused scores must be finite")
-    return sc_n - sc_prev
 
 
 @dataclass(frozen=True)

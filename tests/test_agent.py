@@ -294,3 +294,39 @@ def test_checkpoint_shape_mismatch_names_parameter(tmp_path):
 def test_checkpoint_missing_file(tmp_path):
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path / "absent.json")
+
+
+@pytest.mark.parametrize("mutate, match", [
+    pytest.param(lambda doc: [1, 2], "JSON object", id="not-object"),
+    pytest.param(lambda doc: {"version": 1}, "missing config, params, step",
+                 id="version-only"),
+    pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "step"},
+                 "missing step", id="no-step"),
+    pytest.param(lambda doc: {**doc, "config": {**doc["config"], "warp": 1}},
+                 "warp", id="unknown-config-key"),
+    pytest.param(lambda doc: {**doc, "config": {
+        **doc["config"], "layout": {**doc["config"]["layout"], "d_x": 1}}},
+                 "d_x", id="unknown-layout-key"),
+    pytest.param(lambda doc: {**doc, "config": {
+        k: v for k, v in doc["config"].items() if k != "layout"}},
+                 "layout", id="no-layout"),
+    pytest.param(lambda doc: {**doc, "params": {
+        n: {"data": e["data"]} for n, e in doc["params"].items()}},
+                 "shape", id="param-without-shape"),
+    pytest.param(lambda doc: {**doc, "config": {**doc["config"], "gamma": 7.0}},
+                 "gamma", id="invalid-config-value"),
+    pytest.param(lambda doc: {**doc, "params": 5}, "params", id="params-not-object"),
+    pytest.param(lambda doc: {**doc, "step": "many"}, "step", id="bad-step"),
+    pytest.param(lambda doc: {**doc, "rng": "zz"}, "rng", id="bad-rng-hex"),
+    pytest.param(lambda doc: {**doc, "rng": json.dumps(
+        {"bit_generator": "Nope"}).encode().hex()}, "rng", id="unknown-bit-generator"),
+])
+def test_checkpoint_malformed_document_is_a_checkpoint_error(tmp_path, mutate, match):
+    path = tmp_path / "ck.json"
+    save_checkpoint(_policy("ss"), path,
+                    config=RLConfig(d_e=2, d_t=2, hidden=4, k=2),
+                    rng=np.random.default_rng(0))
+    load_checkpoint(path)  # intact before the edit
+    path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)

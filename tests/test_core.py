@@ -6,14 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asrrl.core import (
-    EpisodeStep,
-    EpisodeTrace,
     RLConfig,
     SSAction,
     FSAction,
     StateLayout,
     apply_ss,
-    flatten_state,
     fuse_fs,
     mean_init,
     softmax,
@@ -24,13 +21,16 @@ from asrrl.core import (
 
 def test_flatten_minimal():
     # [f_t | sep | e]
-    s = flatten_state(np.array([1.0, 2.0]), np.array([3.0]))
+    s = StateLayout(d_t=2, d_e=1).flatten(np.array([1.0, 2.0]), np.array([3.0]))
     assert s.tolist() == [1.0, 2.0, 0.0, 3.0]
 
 
 def test_flatten_with_prior_voiceprint():
-    s = flatten_state(np.array([1.0]), np.array([2.0]), f_rv=np.array([9.0]))
+    layout = StateLayout(d_t=1, d_e=1, d_v=1, include_f_rv=True)
+    s = layout.flatten(np.array([1.0]), np.array([2.0]), f_rv=np.array([9.0]))
     assert s.tolist() == [1.0, 0.0, 2.0, 9.0]
+    with pytest.raises(ValueError, match="f_rv"):
+        layout.flatten(np.array([1.0]), np.array([2.0]))
 
 
 def test_flatten_segment_order_is_fixed():
@@ -60,11 +60,6 @@ def test_flatten_rejects_nonfinite():
     layout = StateLayout(d_t=1, d_e=1)
     with pytest.raises(ValueError):
         layout.flatten(np.array([np.nan]), np.array([0.0]))
-
-
-def test_flatten_state_rejects_unknown_optional():
-    with pytest.raises(ValueError, match="unknown optional"):
-        flatten_state(np.zeros(2), np.zeros(2), bogus=np.zeros(2))
 
 
 @settings(max_examples=50, deadline=None)
@@ -192,6 +187,10 @@ def test_mean_init():
     np.testing.assert_array_equal(mean_init(single), [0.5, 0.5])
     with pytest.raises(ValueError):
         mean_init(np.zeros((0, 2)))
+    # SS episodes start from mean_init too, so one reference must come back
+    # bit for bit
+    for r in np.random.default_rng(3).standard_normal((500, 1, 16)):
+        assert mean_init(r).tobytes() == r[0].tobytes()
 
 
 # -- config ----------------------------------------------------------------
@@ -221,31 +220,6 @@ def test_with_overrides_returns_new_validated_config():
     assert cfg.gamma == 0.3 and cfg2.gamma == 0.99
     with pytest.raises(ValueError):
         cfg.with_overrides(gamma=2.0)
-
-
-# -- episode trace ---------------------------------------------------------
-
-def _step(reward, done):
-    return EpisodeStep(state=np.zeros(1), action=SSAction(np.zeros(1)),
-                       score=None, fused=0.0, reward=reward, done=done)
-
-
-def test_trace_total_reward_and_done_contract():
-    tr = EpisodeTrace()
-    tr.append(_step(0.1, False))
-    tr.append(_step(-0.05, False))
-    tr.append(_step(0.15, True))
-    assert tr.total_reward == pytest.approx(0.2)
-    tr.check()
-    with pytest.raises(ValueError):
-        tr.append(_step(0.0, True))
-
-
-def test_trace_check_rejects_missing_done():
-    tr = EpisodeTrace()
-    tr.append(_step(0.0, False))
-    with pytest.raises(ValueError):
-        tr.check()
 
 
 def test_actions_are_frozen_and_validated():

@@ -9,7 +9,6 @@ from asrrl.env import (
     SpeakerProfile,
     SyntheticVoiceEnv,
     TradeoffEnv,
-    make_tradeoff_env,
     oracle_best,
     oracle_zoom,
 )
@@ -85,6 +84,27 @@ def test_optimum_dominates_grid_d2():
     grid = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
     sc = env.fused_batch(env.f_t_cal, grid, p)
     assert sc_star >= np.max(sc) - 1e-12
+
+
+@pytest.mark.parametrize("toggles", [(True, True), (False, True),
+                                     (True, False), (False, False)])
+@pytest.mark.parametrize("kind", ["voice", "tradeoff"])
+def test_fused_batch_matches_scalar_fused(kind, toggles):
+    # the two paths compute the voiceprint with different matrix products,
+    # so they agree to a few ulps, not bit for bit
+    w = RewardWeights(enable_mos=toggles[0], enable_intell=toggles[1])
+    if kind == "voice":
+        env = SyntheticVoiceEnv(d_e=4, d_t=3, seed=2, weights=w)
+    else:
+        env = _tenv(weights=w)
+    rng = substream(5, "fused-batch")
+    for i in range(8):
+        p = env.make_profile(i, rng, k=1)
+        f_t = rng.standard_normal(env.d_t)
+        E = p.refs[0] + rng.choice([0.01, 0.1, 1.0]) * rng.standard_normal((64, env.d_e))
+        scalar = [env.fused(f_t, e, p) for e in E]
+        np.testing.assert_allclose(env.fused_batch(f_t, E, p), scalar,
+                                   rtol=0, atol=2e-15)
 
 
 def test_make_profile_counts_and_spread():
@@ -288,7 +308,7 @@ def test_oracle_zoom_refines_monotonically():
 def _tenv(tau=0.2, d=3, **kw):
     w = np.zeros(d)
     w[0] = 1.0
-    return make_tradeoff_env(0, w, tau, **kw)
+    return TradeoffEnv(w, tau, seed=0, **kw)
 
 
 def test_tradeoff_requires_unit_direction_and_positive_tau():

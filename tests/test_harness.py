@@ -153,6 +153,25 @@ def test_train_writes_outputs_and_checkpoint_roundtrips(tmp_path, corpus):
     assert result.summary() == direct.summary()
 
 
+def test_run_episode_scores_each_state_once(corpus, monkeypatch):
+    spec = _tiny_spec(None, corpus)
+    env, profiles, texts = build_env(spec, corpus)
+    policy = PolicyNetwork(env.layout, "ss", k=1, hidden=8,
+                           rng=substream(0, "policy-init"))
+    calls = []
+    score_state = env.score_state
+    monkeypatch.setattr(env, "score_state",
+                        lambda *a: calls.append(1) or score_state(*a))
+    ep = harness.run_episode(env, policy, profiles[0], texts[0][0],
+                             rng=substream(0, "rollout"))
+    # one score at reset, one per step
+    assert len(calls) == 1 + spec.step_budget
+    assert ep["dones"].tolist() == [False] * (spec.step_budget - 1) + [True]
+    assert ep["final_fused"] == fuse_scores(ep["final_triple"], spec.weights)
+    assert ep["rewards"].sum() == pytest.approx(
+        ep["final_fused"] - ep["initial_fused"], abs=1e-12)
+
+
 def test_zero_learning_rate_is_a_no_op(tmp_path, corpus):
     spec = _tiny_spec(tmp_path, corpus, learning_rate=1e-300)
     policy, _ = train(spec, corpus, write_outputs=False)
@@ -370,3 +389,33 @@ def test_cli_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["train", "--corpus", str(tmp_path / "absent.tsv")])
     assert exc.value.code == 4
+    # missing, truncated or malformed checkpoint (4)
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"version": 1, "config": {"d_e"')
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[1, 2]")
+    version_only = tmp_path / "version_only.json"
+    version_only.write_text('{"version": 1}')
+    for ck in (tmp_path / "absent.json", truncated, not_object, version_only):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", "--checkpoint", str(ck), "--corpus", str(corpus_path)])
+        assert exc.value.code == 4, ck.name
+
+
+def test_cli_config_lambdas_reach_the_reward(tmp_path):
+    corpus_path = tmp_path / "c.tsv"
+    _cli("gen-data", "--seed", "7", "--speakers", "6", "--refs", "1",
+         "--dim-e", "3", "--dim-t", "2", "--texts", "2", "--out", str(corpus_path))
+    cfg_path = tmp_path / "cfg"
+    cfg_path.write_text("train_iters=1\nrollout_batch=16\nhidden=8\n"
+                        "lambda1=0.0\nlambda2=0.2\n")
+    assert _cli("train", "--corpus", str(corpus_path), "--out",
+                str(tmp_path / "runs"), "--run-id", "r", "--config",
+                str(cfg_path)) == 0
+    assert _cli("eval", "--checkpoint", str(tmp_path / "runs" / "r" / "checkpoint.json"),
+                "--corpus", str(corpus_path), "--out", str(tmp_path / "eval.csv")) == 0
+    for name in ("runs/r/train.csv", "eval.csv"):
+        rows = read_rows(tmp_path / name)
+        assert rows and any(float(r["mos"]) > 0 for r in rows)
+        for r in rows:
+            assert float(r["fused"]) == float(r["sim"]) - 0.2 * float(r["intell"])

@@ -1,5 +1,7 @@
 """Fusion scoring, delta rewards, and the scorer plug-in contract."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,6 @@ from asrrl.scoring import (
     cosine_similarity_score,
     fuse_scores,
     score_speech,
-    step_reward,
 )
 
 triples = st.tuples(
@@ -33,6 +34,18 @@ def test_fuse_scores_all_worst():
 def test_fuse_scores_hand_arithmetic():
     # 0.42 + 0.5*(4.12/5) - 0.1*0.25 = 0.807
     assert abs(fuse_scores(ScoreTriple(0.42, 4.12, 0.25)) - 0.807) <= 1e-12
+
+
+def test_fuse_scores_on_arrays_matches_scalar_and_keeps_inputs():
+    rng = np.random.default_rng(0)
+    sim, mos, intell = rng.random(50), 5.0 * rng.random(50), rng.random(50)
+    kept = sim.copy()
+    w = RewardWeights(lambda1=0.3, lambda2=0.7)
+    sc = fuse_scores(SimpleNamespace(sim=sim, mos=mos, intell=intell), w)
+    assert sc is not sim
+    np.testing.assert_array_equal(sim, kept)
+    assert sc.tolist() == [fuse_scores(ScoreTriple(*t), w)
+                           for t in zip(sim, mos, intell)]
 
 
 def test_triple_rejects_out_of_range():
@@ -70,20 +83,6 @@ def test_fuse_scores_monotonicity():
 def test_negative_weights_rejected():
     with pytest.raises(ValueError):
         RewardWeights(lambda1=-0.5)
-
-
-def test_step_reward():
-    assert step_reward(0.7, 0.5) == pytest.approx(0.2)
-    assert step_reward(0.33, 0.33) == 0.0
-    with pytest.raises(ValueError):
-        step_reward(float("inf"), 0.0)
-
-
-def test_step_reward_telescopes():
-    path = [0.5, 0.6, 0.55, 0.7]
-    rewards = [step_reward(b, a) for a, b in zip(path, path[1:])]
-    np.testing.assert_allclose(rewards, [0.1, -0.05, 0.15], atol=1e-15)
-    assert sum(rewards) == pytest.approx(path[-1] - path[0])
 
 
 # -- scorer plug-ins -------------------------------------------------------
