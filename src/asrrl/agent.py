@@ -18,6 +18,7 @@ from .core import Action, FSAction, RLConfig, SSAction, StateLayout
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
+LOG_STD_INIT = -0.5
 LOG_2PI = math.log(2.0 * math.pi)
 MAX_RATIO = 1e3
 
@@ -41,14 +42,13 @@ class PolicyNetwork:
     with its own weights plus a learned segment embedding, tanh, and
     mean-pools the segment tokens; encoder="mlp" is a plain 2-layer MLP
     over the concatenated state. Both feed one more tanh layer and
-    linear mean/value heads. The log-std is a free parameter vector,
-    clamped to [-5, 2].
+    linear mean/value heads. The log-std is a free parameter vector that
+    starts at -0.5 and is clamped to [-5, 2].
     """
 
     def __init__(self, layout: StateLayout, scenario: str, *, k: int = 1,
                  hidden: int = 64, encoder: str = "segments",
-                 rng: np.random.Generator | None = None,
-                 log_std_init: float = -0.5):
+                 rng: np.random.Generator | None = None):
         if scenario not in ("ss", "fs"):
             raise ValueError(f"scenario must be 'ss' or 'fs', got {scenario!r}")
         if encoder not in ("segments", "mlp"):
@@ -83,7 +83,7 @@ class PolicyNetwork:
         p["mean.b"] = np.zeros(self.action_dim)
         p["value.W"] = _xavier(rng, H, 1)
         p["value.b"] = np.zeros(1)
-        p["log_std"] = np.full(self.action_dim, float(log_std_init))
+        p["log_std"] = np.full(self.action_dim, LOG_STD_INIT)
         self.params = p
 
     def parameter_count(self) -> int:
@@ -236,9 +236,10 @@ class RolloutBatch:
     def __len__(self):
         return self.states.shape[0]
 
-    def compute_advantages(self, gamma, gae_lambda, normalize=True):
+    def compute_advantages(self, gamma, gae_lambda):
+        """GAE, with advantages standardized when the batch has 2+ steps."""
         adv, ret = gae(self.rewards, self.values, self.dones, gamma, gae_lambda)
-        if normalize and len(adv) > 1:
+        if len(adv) > 1:
             std = adv.std()
             if std > 1e-8:
                 adv = (adv - adv.mean()) / std
@@ -248,23 +249,24 @@ class RolloutBatch:
 
 
 class Adam:
-    """Plain Adam over a parameter dict."""
+    """Plain Adam over a parameter dict, with the standard constants."""
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float,
-                 beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, np.ndarray], lr: float):
+        self.lr = lr
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - self.BETA1 ** self.t
+        bc2 = 1.0 - self.BETA2 ** self.t
         for k, g in grads.items():
-            self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g * g
-            params[k] -= self.lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + self.eps)
+            self.m[k] = self.BETA1 * self.m[k] + (1 - self.BETA1) * g
+            self.v[k] = self.BETA2 * self.v[k] + (1 - self.BETA2) * g * g
+            params[k] -= self.lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + self.EPS)
 
 
 def ppo_loss_and_grads(policy: PolicyNetwork, batch: RolloutBatch, *,

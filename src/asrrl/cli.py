@@ -29,7 +29,6 @@ from .harness import (
     train,
     write_rows,
 )
-from .scoring import RewardWeights
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,8 +52,7 @@ def _spec_from_args(args, corpus) -> ExperimentSpec:
         **({"seed": args.seed} if args.seed is not None else {}),
     )
     return ExperimentSpec(config=cfg, scenario=args.scenario,
-                          run_id=args.run_id, out_dir=Path(args.out),
-                          weights=RewardWeights(cfg.lambda1, cfg.lambda2))
+                          run_id=args.run_id, out_dir=Path(args.out))
 
 
 def _print_summary(result):

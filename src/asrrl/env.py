@@ -22,7 +22,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import FSAction, SSAction, Action, StateLayout, apply_ss, fuse_fs, mean_init
+from .core import (FSAction, SSAction, Action, RLConfig, StateLayout, apply_ss,
+                   fuse_fs, mean_init)
 from .scoring import (
     RewardWeights,
     ScoreContext,
@@ -72,11 +73,13 @@ class _EnvBase:
     ``_triple_batch`` and speech synthesis via ``synth``.
     """
 
-    def __init__(self, layout: StateLayout, scenario: str, step_budget: int,
+    def __init__(self, layout: StateLayout, scenario: str, step_budget: int | None,
                  action_scale: float, weights: RewardWeights,
                  scorers: dict | None = None):
         if scenario not in ("ss", "fs"):
             raise ValueError(f"scenario must be 'ss' or 'fs', got {scenario!r}")
+        if step_budget is None:
+            step_budget = RLConfig.steps_ss if scenario == "ss" else RLConfig.steps_fs
         self.layout = layout
         self.scenario = scenario
         self.step_budget = int(step_budget)
@@ -199,52 +202,52 @@ class _EnvBase:
 class SyntheticVoiceEnv(_EnvBase):
     """Frozen random voice space with a recoverable hidden optimum."""
 
+    # fixed shape of the space: the corpus header does not record these
+    MU_NORM = 0.05       # norm of the hidden population mean
+    SIGNAL_BOOST = 2.5   # voiceprint gain along the population direction
+    BETA = 4.0           # MOS decay rate outside the quality shell
+    KAPPA = 4.0          # intelligibility-error growth outside its shell
+    W2_SCALE = 2.0
+    B_SCALE = 0.02
+
     def __init__(self, d_e: int, d_t: int, *, d_s: int = 32, d_v: int = 8,
                  seed: int = 0, scenario: str = "ss", step_budget: int | None = None,
                  action_scale: float = 0.001, weights: RewardWeights = RewardWeights(),
                  layout: StateLayout | None = None, sigma_star: float = 0.005,
-                 sigma_ref: float = 0.05, mu_norm: float = 0.05,
-                 signal_boost: float = 2.5,
+                 sigma_ref: float = 0.05,
                  r_mos: float | None = None, r_in: float | None = None,
-                 beta: float = 4.0, kappa: float = 4.0,
-                 w1_scale: float | None = None, w2_scale: float = 2.0,
-                 b_scale: float = 0.02, scorers: dict | None = None):
-        if step_budget is None:
-            step_budget = 3 if scenario == "ss" else 1
+                 scorers: dict | None = None):
         layout = layout or StateLayout(d_t=d_t, d_e=d_e, d_v=d_v)
         super().__init__(layout, scenario, step_budget, action_scale, weights, scorers)
         self.d_e, self.d_t, self.d_s, self.d_v = d_e, d_t, d_s, d_v
         self.seed = int(seed)
         self.sigma_star = float(sigma_star)
         self.sigma_ref = float(sigma_ref)
-        self.mu_norm = float(mu_norm)
         # quality/intelligibility shells sit at 1.5x the expected
         # reference norm: references score well, runaway norms do not,
         # and the hidden optimum lies safely inside
-        ref_norm = math.sqrt(mu_norm ** 2 + (sigma_star ** 2 + sigma_ref ** 2) * d_e)
+        ref_norm = math.sqrt(self.MU_NORM ** 2
+                             + (sigma_star ** 2 + sigma_ref ** 2) * d_e)
         self.r_mos = float(r_mos) if r_mos is not None else 1.5 * ref_norm
         self.r_in = float(r_in) if r_in is not None else 1.5 * ref_norm
-        self.beta = float(beta)
-        self.kappa = float(kappa)
         # small text/bias pathways keep tanh in its linear regime, so the
         # voiceprint angle responds to embedding moves at the default
         # 0.001 action scale
-        if w1_scale is None:
-            w1_scale = 0.06 / math.sqrt(d_t)
+        w1_scale = 0.06 / math.sqrt(d_t)
         rng = substream(self.seed, "env-matrices")
         self.W1 = w1_scale * rng.standard_normal((d_s, d_t))
-        self.W2 = w2_scale * rng.standard_normal((d_s, d_e))
-        self.b = b_scale * rng.standard_normal(d_s)
+        self.W2 = self.W2_SCALE * rng.standard_normal((d_s, d_e))
+        self.b = self.B_SCALE * rng.standard_normal(d_s)
         self.V = rng.standard_normal((d_v, d_s)) / math.sqrt(d_s)
         # speakers cluster around a hidden population mean; the voiceprint
         # projection responds more strongly along that direction, which is
         # what gives refinement policies measurable similarity headroom
         mu_dir = rng.standard_normal(d_e)
         mu_dir /= np.linalg.norm(mu_dir)
-        self.mu = mu_norm * mu_dir
+        self.mu = self.MU_NORM * mu_dir
         u = self.W2 @ mu_dir
         u /= np.linalg.norm(u)
-        self.V = self.V + (signal_boost - 1.0) * np.outer(self.V @ u, u)
+        self.V = self.V + (self.SIGNAL_BOOST - 1.0) * np.outer(self.V @ u, u)
         self.E_post = rng.standard_normal((d_e, d_s)) / math.sqrt(d_s)
         self.f_t_cal = rng.standard_normal(d_t)
 
@@ -276,8 +279,8 @@ class SyntheticVoiceEnv(_EnvBase):
 
     # -- scoring -----------------------------------------------------------
     def _shell_scores(self, e_norm):
-        mos = 5.0 * np.exp(-self.beta * np.maximum(0.0, e_norm - self.r_mos))
-        intell = 1.0 - np.exp(-self.kappa * np.maximum(0.0, e_norm - self.r_in))
+        mos = 5.0 * np.exp(-self.BETA * np.maximum(0.0, e_norm - self.r_mos))
+        intell = 1.0 - np.exp(-self.KAPPA * np.maximum(0.0, e_norm - self.r_in))
         return mos, intell
 
     def _triple(self, f_t, e, profile) -> ScoreTriple:
@@ -318,8 +321,6 @@ class TradeoffEnv(_EnvBase):
             raise ValueError(f"direction w must be unit-norm, got |w| = {np.linalg.norm(w)}")
         if tau <= 0:
             raise ValueError(f"threshold tau must be positive, got {tau}")
-        if step_budget is None:
-            step_budget = 3 if scenario == "ss" else 1
         d_e = w.shape[0]
         layout = layout or StateLayout(d_t=d_t, d_e=d_e)
         super().__init__(layout, scenario, step_budget, action_scale, weights, scorers)
@@ -383,13 +384,14 @@ def oracle_best(env: _EnvBase, profile: SpeakerProfile, f_t: np.ndarray,
         total *= int(n)
     if total > MAX_GRID_POINTS:
         raise ValueError(f"grid has {total} points, limit is {MAX_GRID_POINTS}")
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)  # lexicographic order
+    shape = tuple(len(a) for a in axes)
     best_e = None
     best_sc = -np.inf
     chunk = 200_000
     for start in range(0, total, chunk):
-        block = points[start : start + chunk]
+        # row-major flat indices enumerate the grid lexicographically
+        idx = np.unravel_index(np.arange(start, min(start + chunk, total)), shape)
+        block = np.stack([a[i] for a, i in zip(axes, idx)], axis=1)
         sc = env.fused_batch(f_t, block, profile)
         i = int(np.argmax(sc))
         if sc[i] > best_sc:

@@ -87,8 +87,7 @@ CORPUS_META_KEYS = {
 
 def gen_corpus(seed: int, n_speakers: int, k_refs: int, d_e: int, d_t: int,
                texts_per_speaker: int, path, *, force: bool = False,
-               sigma_ref: float = 0.05, sigma_star: float = 0.005,
-               d_s: int = 32, d_v: int = 8) -> Corpus:
+               sigma_ref: float = 0.05) -> Corpus:
     """Generate a synthetic speaker corpus and write it to path.
 
     The file is self-describing: a versioned header carries every
@@ -102,14 +101,13 @@ def gen_corpus(seed: int, n_speakers: int, k_refs: int, d_e: int, d_t: int,
     path = Path(path)
     if path.exists() and not force:
         raise FileExistsError(f"{path} exists; pass force=True / --force to overwrite")
-    env = SyntheticVoiceEnv(d_e=d_e, d_t=d_t, d_s=d_s, d_v=d_v, seed=seed,
-                            sigma_star=sigma_star, sigma_ref=sigma_ref)
+    env = SyntheticVoiceEnv(d_e=d_e, d_t=d_t, seed=seed, sigma_ref=sigma_ref)
     rng = substream(seed, "corpus")
     meta = {
-        "d_e": d_e, "d_t": d_t, "d_v": d_v, "d_s": d_s, "k": k_refs,
+        "d_e": d_e, "d_t": d_t, "d_v": env.d_v, "d_s": env.d_s, "k": k_refs,
         "seed": int(seed), "n_speakers": n_speakers,
         "texts_per_speaker": texts_per_speaker,
-        "sigma_ref": sigma_ref, "sigma_star": sigma_star,
+        "sigma_ref": sigma_ref, "sigma_star": env.sigma_star,
     }
     profiles, texts = [], []
     for i in range(n_speakers):
@@ -171,8 +169,14 @@ def load_corpus(path) -> Corpus:
 
 # -- experiment spec -------------------------------------------------------
 
+TRADEOFF_TAU = 0.2
+
+
 @dataclass
 class ExperimentSpec:
+    """One experiment. The reward lambdas always come from ``config``;
+    ``weights`` contributes only its ``enable_*`` term toggles."""
+
     config: RLConfig = field(default_factory=RLConfig)
     scenario: str = "ss"
     env_kind: str = "voice"  # voice | tradeoff
@@ -185,9 +189,13 @@ class ExperimentSpec:
     include_f_rv: bool = False
     include_e_s: bool = False
     include_f_sv: bool = False
-    tradeoff_tau: float = 0.2
     tradeoff_speakers: int = 20
     tradeoff_texts: int = 4
+
+    def __post_init__(self):
+        # runs again on every dataclasses.replace, so the two never drift
+        self.weights = replace(self.weights, lambda1=self.config.lambda1,
+                               lambda2=self.config.lambda2)
 
     def layout(self, d_v: int = 0) -> StateLayout:
         return StateLayout(
@@ -235,7 +243,7 @@ def build_env(spec: ExperimentSpec, corpus: Corpus | None):
         w = rng.standard_normal(cfg.d_e)
         w /= np.linalg.norm(w)
         env = TradeoffEnv(
-            w, spec.tradeoff_tau, d_t=cfg.d_t, seed=cfg.seed,
+            w, TRADEOFF_TAU, d_t=cfg.d_t, seed=cfg.seed,
             scenario=spec.scenario, step_budget=spec.step_budget,
             action_scale=cfg.action_scale, weights=spec.weights,
             layout=spec.layout(),
@@ -350,8 +358,7 @@ def train(spec: ExperimentSpec, corpus: Corpus | None = None, *,
             rewards=np.concatenate(parts["rewards"]),
             values=np.concatenate(parts["values"]),
             dones=np.concatenate(parts["dones"]),
-        ).compute_advantages(cfg.gamma, cfg.gae_lambda,
-                             normalize=n_steps > 1)
+        ).compute_advantages(cfg.gamma, cfg.gae_lambda)
         ppo_update(
             policy, batch, clip_epsilon=cfg.clip_epsilon,
             update_epochs=cfg.update_epochs, learning_rate=cfg.learning_rate,
@@ -459,33 +466,27 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
 
 def evaluate_checkpoint(checkpoint_path, corpus_path, *, split: str = "eval",
                         spec: ExperimentSpec | None = None) -> EvalResult:
-    """Load a checkpoint and corpus, cross-check dims, and evaluate."""
+    """Load a checkpoint and corpus and evaluate under the checkpoint's
+    config; build_env rejects a corpus of other dimensions."""
     policy, cfg, _, _ = load_checkpoint(checkpoint_path)
     corpus = load_corpus(corpus_path)
-    spec = spec or ExperimentSpec()
-    spec = replace(spec, config=cfg, scenario=policy.scenario,
-                   weights=replace(spec.weights, lambda1=cfg.lambda1,
-                                   lambda2=cfg.lambda2))
-    if corpus.meta["d_e"] != cfg.d_e or corpus.meta["d_t"] != cfg.d_t:
-        raise ConfigError(
-            f"checkpoint dims (d_e={cfg.d_e}, d_t={cfg.d_t}) do not match "
-            f"corpus (d_e={corpus.meta['d_e']}, d_t={corpus.meta['d_t']})"
-        )
+    spec = replace(spec or ExperimentSpec(), config=cfg, scenario=policy.scenario)
     return evaluate(policy, spec, corpus, split=split)
 
 
 # -- fine-tune proxy baseline ----------------------------------------------
 
 def finetune_proxy(env, profile, f_t, *, steps: int = 2000,
-                   step_size: float = 0.01, h: float = 1e-4):
+                   step_size: float = 0.01):
     """Gradient ascent on the fused score w.r.t. the embedding.
 
-    Central finite differences with step h stand in for fine-tuning a
-    real model. Returns (best embedding, best fused score) over the
-    whole trajectory.
+    Central finite differences with step h = 1e-4 stand in for
+    fine-tuning a real model. Returns (best embedding, best fused score)
+    over the whole trajectory.
     """
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
+    h = 1e-4
     e = mean_init(profile.refs)
     d = e.shape[0]
     best_e, best_sc = e.copy(), env.fused(f_t, e, profile)
@@ -515,25 +516,9 @@ SWEEP_AXES = ("gamma", "action_scale", "steps", "lambda1", "lambda2")
 
 
 def _apply_axis(spec: ExperimentSpec, axis: str, value: float) -> ExperimentSpec:
-    cfg = spec.config
-    if axis == "gamma":
-        cfg = cfg.with_overrides(gamma=value)
-    elif axis == "action_scale":
-        cfg = cfg.with_overrides(action_scale=value)
-    elif axis == "steps":
-        key = "steps_ss" if spec.scenario == "ss" else "steps_fs"
-        cfg = cfg.with_overrides(**{key: int(value)})
-    elif axis == "lambda1":
-        cfg = cfg.with_overrides(lambda1=value)
-        return replace(spec, config=cfg,
-                       weights=replace(spec.weights, lambda1=value))
-    elif axis == "lambda2":
-        cfg = cfg.with_overrides(lambda2=value)
-        return replace(spec, config=cfg,
-                       weights=replace(spec.weights, lambda2=value))
-    else:
-        raise ConfigError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
-    return replace(spec, config=cfg)
+    if axis == "steps":
+        axis, value = ("steps_ss" if spec.scenario == "ss" else "steps_fs"), int(value)
+    return replace(spec, config=spec.config.with_overrides(**{axis: value}))
 
 
 def sweep(spec: ExperimentSpec, axis: str, values, corpus: Corpus | None = None):

@@ -1,7 +1,11 @@
-"""The traced benchmark patches package names from outside; each must exist."""
+"""The benchmark drives the package from outside: every name its tracer
+patches must exist, and each workload's set-up must still run."""
 
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -15,3 +19,13 @@ def test_every_traced_name_exists():
                if not hasattr(owner, attr)]
     assert len(tracing.TARGETS) >= 31
     assert missing == []
+
+
+@pytest.mark.parametrize("workload", ["ss_ref", "oracle_lowdim", "scored_eval"])
+def test_workload_setup_runs(workload):
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
+         "--seed", "0", "--seconds", "1", "--setup-only"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ready\n"

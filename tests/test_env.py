@@ -292,6 +292,25 @@ def test_oracle_dominates_raw_reference():
         assert sc >= env.fused(f_t, p.refs[0], p) - slack
 
 
+def test_oracle_chunks_match_one_meshgrid_argmax_and_ties_go_first():
+    env = SyntheticVoiceEnv(d_e=2, d_t=2, seed=17)
+    p = env.make_profile(0, substream(17, "corpus"), k=1)
+    lim = float(np.max(np.abs(p.refs))) + 0.1
+    e_best, sc = oracle_best(env, p, env.f_t_cal, (-lim, lim, 501))
+    axis = np.linspace(-lim, lim, 501)
+    mesh = np.meshgrid(axis, axis, indexing="ij")
+    points = np.stack([m.ravel() for m in mesh], axis=1)
+    assert len(points) > 200_000  # spans two chunks
+    want = env.fused_batch(env.f_t_cal, points, p)
+    i = int(np.argmax(want))
+    assert e_best.tobytes() == points[i].tobytes() and sc == want[i]
+    # the tradeoff score ignores axis 1, so every value there ties
+    tenv = TradeoffEnv(np.array([1.0, 0.0]), 0.2, d_t=2)
+    tp = tenv.make_profile(0, substream(0, "s"), k=1)
+    e_best, _ = oracle_best(tenv, tp, np.zeros(2), [(-1.0, 1.0, 41), (-0.5, 0.5, 11)])
+    assert e_best[1] == -0.5
+
+
 def test_oracle_zoom_refines_monotonically():
     env = SyntheticVoiceEnv(d_e=2, d_t=2, seed=13)
     p = env.make_profile(0, substream(13, "corpus"), k=1)

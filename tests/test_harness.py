@@ -10,6 +10,7 @@ import asrrl.harness as harness
 from asrrl import cli
 from asrrl.agent import PolicyNetwork
 from asrrl.core import RLConfig, mean_init
+from asrrl.env import SyntheticVoiceEnv
 from asrrl.harness import (
     ConfigError,
     DivergenceError,
@@ -91,6 +92,25 @@ def test_load_corpus_roundtrip(tmp_path, corpus):
         np.testing.assert_array_equal(a.target_voiceprint, b.target_voiceprint)
     for a, b in zip(back.texts, corpus.texts):
         np.testing.assert_array_equal(a, b)
+
+
+def test_corpus_header_rebuilds_the_generating_env(tmp_path, monkeypatch):
+    built = []
+
+    def recording_env(*args, **kwargs):
+        built.append(SyntheticVoiceEnv(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "SyntheticVoiceEnv", recording_env)
+    gen_corpus(5, 4, 1, 3, 2, 2, tmp_path / "h.tsv", sigma_ref=0.03)
+    monkeypatch.undo()
+    assert len(built) == 1
+    corpus = load_corpus(tmp_path / "h.tsv")
+    env, _, _ = build_env(_tiny_spec(tmp_path, corpus), corpus)
+    for name in ("W1", "W2", "b", "V", "E_post", "mu", "f_t_cal", "r_mos", "r_in"):
+        want = np.asarray(getattr(built[0], name))
+        got = np.asarray(getattr(env, name))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
 
 def test_load_corpus_rejects_bad_header(tmp_path):
@@ -414,8 +434,23 @@ def test_cli_config_lambdas_reach_the_reward(tmp_path):
                 str(cfg_path)) == 0
     assert _cli("eval", "--checkpoint", str(tmp_path / "runs" / "r" / "checkpoint.json"),
                 "--corpus", str(corpus_path), "--out", str(tmp_path / "eval.csv")) == 0
-    for name in ("runs/r/train.csv", "eval.csv"):
+    # library callers get the config lambdas too
+    corpus = load_corpus(corpus_path)
+    spec = ExperimentSpec(config=parse_config_file(cfg_path).with_overrides(
+        d_e=3, d_t=2, k=1), run_id="lib", out_dir=tmp_path / "runs",
+        eval_episodes=2)
+    policy, _ = train(spec, corpus)
+    write_rows(tmp_path / "lib_eval.csv", evaluate(policy, spec, corpus).rows)
+    for name in ("runs/r/train.csv", "eval.csv", "runs/lib/train.csv",
+                 "lib_eval.csv"):
         rows = read_rows(tmp_path / name)
         assert rows and any(float(r["mos"]) > 0 for r in rows)
         for r in rows:
             assert float(r["fused"]) == float(r["sim"]) - 0.2 * float(r["intell"])
+    # each sweep point trains and scores with its own lambda1
+    base = replace(spec, config=spec.config.with_overrides(lambda2=0.1))
+    long_rows, _ = sweep(base, "lambda1", [0.0, 1.0], corpus)
+    assert {r["value"] for r in long_rows} == {0.0, 1.0}
+    for r in long_rows:
+        assert r["fused"] == (r["sim"] + r["value"] * (r["mos"] / 5.0)
+                              - 0.1 * r["intell"])
