@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .core import Action, FSAction, RLConfig, SSAction, StateLayout
+from .files import replace_on_success
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
@@ -367,7 +368,8 @@ def _rng_from_hex(hex_state: str) -> np.random.Generator | None:
 
 def save_checkpoint(policy: PolicyNetwork, path, *, config: RLConfig,
                     step: int = 0, rng: np.random.Generator | None = None) -> None:
-    """Write a single JSON checkpoint with exact float64 round-trip."""
+    """Write a single JSON checkpoint with exact float64 round-trip; a
+    failed write leaves the previous file at path untouched."""
     cfg = asdict(config)
     cfg["scenario"] = policy.scenario
     cfg["layout"] = asdict(policy.layout)
@@ -381,7 +383,7 @@ def save_checkpoint(policy: PolicyNetwork, path, *, config: RLConfig,
             for name, arr in policy.params.items()
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with replace_on_success(path) as fh:
         json.dump(doc, fh)  # json emits shortest round-trip decimals
 
 

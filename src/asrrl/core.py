@@ -15,10 +15,13 @@ import numpy as np
 SEP_VALUE = 0.0
 
 
-def _as_vector(x, name: str) -> np.ndarray:
+def _as_vector(x, name: str, rows: bool = False) -> np.ndarray:
+    """x as a finite float64 1-d vector, or with rows=True also an (N, d)
+    batch of row vectors."""
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a 1-d vector, got shape {arr.shape}")
+    if arr.ndim != 1 and not (rows and arr.ndim == 2):
+        kind = "a 1-d vector or an (N, d) row batch" if rows else "a 1-d vector"
+        raise ValueError(f"{name} must be {kind}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite components")
     return arr
@@ -74,23 +77,28 @@ class StateLayout:
         e_s: np.ndarray | None = None,
         f_sv: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Concatenate segments in the fixed order [f_t | sep | e | f_rv? | e_s? | f_sv?]."""
+        """Concatenate segments in the fixed order [f_t | sep | e | f_rv? | e_s? | f_sv?].
+
+        Segments are 1-d vectors, giving one state, or (N, dim) row
+        batches, giving (N, size) states.
+        """
         provided = {"f_t": f_t, "e": e, "f_rv": f_rv, "e_s": e_s, "f_sv": f_sv}
+        lead = np.shape(e)[:-1]
         parts = []
         for name, dim in self.segment_dims().items():
             if name == "sep":
-                parts.append(np.array([SEP_VALUE]))
+                parts.append(np.full(lead + (1,), SEP_VALUE))
                 continue
             seg = provided[name]
             if seg is None:
                 raise ValueError(f"segment {name} is enabled but was not provided")
-            seg = _as_vector(seg, name)
-            if seg.shape[0] != dim:
+            seg = _as_vector(seg, name, rows=True)
+            if seg.shape[-1] != dim:
                 raise ValueError(
-                    f"segment {name} has length {seg.shape[0]}, expected {dim}"
+                    f"segment {name} has length {seg.shape[-1]}, expected {dim}"
                 )
             parts.append(seg)
-        return np.concatenate(parts)
+        return np.concatenate(parts, axis=-1)
 
     def split(self, state: np.ndarray) -> dict[str, np.ndarray]:
         """Recover the segments of a flattened state. Exact inverse of flatten."""
@@ -134,12 +142,13 @@ def apply_ss(e: np.ndarray, delta: np.ndarray, action_scale: float) -> np.ndarra
     """Refine an embedding: e' = e + action_scale * delta.
 
     delta must be squashed to [-1, 1] already, which bounds the per-step
-    movement by action_scale in the infinity norm.
+    movement by action_scale in the infinity norm. e and delta are both
+    vectors or both (N, d_e) row batches.
     """
-    e = _as_vector(e, "e")
-    delta = _as_vector(delta, "delta")
+    e = _as_vector(e, "e", rows=True)
+    delta = _as_vector(delta, "delta", rows=True)
     if delta.shape != e.shape:
-        raise ValueError(f"delta has length {delta.shape[0]}, expected {e.shape[0]}")
+        raise ValueError(f"delta has shape {delta.shape}, expected {e.shape}")
     if action_scale <= 0:
         raise ValueError(f"action_scale must be positive, got {action_scale}")
     if np.max(np.abs(delta)) > 1.0 + 1e-12:
@@ -148,9 +157,10 @@ def apply_ss(e: np.ndarray, delta: np.ndarray, action_scale: float) -> np.ndarra
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - np.max(logits)
+    """Softmax over the last axis."""
+    z = logits - np.max(logits, axis=-1, keepdims=True)
     w = np.exp(z)
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def fuse_fs(
@@ -159,35 +169,39 @@ def fuse_fs(
     """Fuse reference embeddings with softmax(logits) weights.
 
     Returns (weights, e_fusion) with weights on the probability simplex.
+    refs (k, d_e) with logits (k,) fuse one episode; refs (N, k, d_e) with
+    logits (N, k) fuse N, row by row.
     """
     refs = np.asarray(refs, dtype=np.float64)
-    if refs.ndim != 2 or refs.shape[0] < 1:
+    logits = _as_vector(logits, "logits", rows=True)
+    if refs.ndim != logits.ndim + 1 or refs.shape[-2] < 1:
         raise ValueError(
             "refs must be a non-empty list of equal-dimension embeddings"
         )
     if not np.all(np.isfinite(refs)):
         raise ValueError("refs contain non-finite components")
-    logits = _as_vector(logits, "logits")
-    if logits.shape[0] != refs.shape[0]:
+    if logits.shape != refs.shape[:-1]:
         raise ValueError(
-            f"got {logits.shape[0]} logits for {refs.shape[0]} references"
+            f"got {logits.shape[-1]} logits for {refs.shape[-2]} references"
         )
     weights = softmax(logits)
-    e_fusion = weights @ refs
+    # a (1, k) @ (k, d_e) product: bit-equal to weights @ refs for one row
+    e_fusion = (weights[..., None, :] @ refs)[..., 0, :]
     return weights, e_fusion
 
 
 def mean_init(refs: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     """Componentwise mean of the reference embeddings: the initial
-    embedding of every episode and baseline (at k=1, exactly refs[0])."""
+    embedding of every episode and baseline (at k=1, exactly refs[0]).
+    refs (N, k, d_e) gives the N means, each bit-equal to its own call."""
     refs = np.asarray(refs, dtype=np.float64)
-    if refs.ndim != 2 or refs.shape[0] < 1:
+    if refs.ndim not in (2, 3) or refs.shape[-2] < 1:
         raise ValueError(
             "refs must be a non-empty list of equal-dimension embeddings"
         )
     if not np.all(np.isfinite(refs)):
         raise ValueError("refs contain non-finite components")
-    return refs.mean(axis=0)
+    return refs.mean(axis=-2)
 
 
 @dataclass

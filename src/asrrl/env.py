@@ -28,6 +28,7 @@ from .scoring import (
     RewardWeights,
     ScoreContext,
     ScoreTriple,
+    check_ranges,
     cosine_similarity_score,
     fuse_scores,
     score_speech,
@@ -70,7 +71,10 @@ class _EnvBase:
     """Episode mechanics shared by both synthetic environments.
 
     Subclasses provide score components via ``_triple`` /
-    ``_triple_batch`` and speech synthesis via ``synth``.
+    ``_triple_batch`` and speech synthesis via ``synth``. The stateless
+    helpers (``state``, ``prior_voiceprint``, ``move``, ``score_rows``)
+    take one episode's vectors or (N, .) row batches, so the scalar
+    ``reset``/``step`` protocol and lockstep rollouts share them.
     """
 
     def __init__(self, layout: StateLayout, scenario: str, step_budget: int | None,
@@ -102,12 +106,22 @@ class _EnvBase:
     def _triple(self, f_t, e, profile) -> ScoreTriple:
         raise NotImplementedError
 
-    def _triple_batch(self, f_t, E, profile):
+    def _triple_batch(self, f_t, E, target):
+        """(sim, mos, intell) arrays for the rows of E. f_t is one text
+        (d_t,) or one per row (N, d_t); target is one voiceprint or one
+        per row (N, d_v)."""
         raise NotImplementedError
 
     def _posterior(self, s_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(posterior embedding, posterior voiceprint) from synthesized speech."""
         raise NotImplementedError
+
+    def check_refs(self, k: int) -> None:
+        """SS refines exactly one reference; FS fuses two or more."""
+        if self.scenario == "ss" and k != 1:
+            raise ValueError(f"SS scenario needs exactly 1 reference, got {k}")
+        if self.scenario == "fs" and k < 2:
+            raise ValueError(f"FS scenario needs k >= 2 references, got {k}")
 
     # -- scoring -----------------------------------------------------------
     def score_state(self, f_t: np.ndarray, e: np.ndarray,
@@ -131,15 +145,40 @@ class _EnvBase:
     def fused_batch(self, f_t: np.ndarray, E: np.ndarray,
                     profile: SpeakerProfile) -> np.ndarray:
         """Fused scores for many embeddings at once (internal path only)."""
-        sim, mos, intell = self._triple_batch(f_t, E, profile)
+        sim, mos, intell = self._triple_batch(f_t, E, profile.target_voiceprint)
         return fuse_scores(SimpleNamespace(sim=sim, mos=mos, intell=intell),
                            self.weights)
 
+    def score_rows(self, F: np.ndarray, E: np.ndarray,
+                   targets: np.ndarray) -> SimpleNamespace:
+        """Score arrays (sim, mos, intell) of N rows under score_state's
+        rules: each plug-in scorer scores every row through score_speech,
+        and a value outside its range raises ScoreRangeError."""
+        sim, mos, intell = self._triple_batch(F, E, targets)
+        parts = {"sim": sim, "mos": mos, "intell": intell}
+        check_ranges(parts)
+        if self.scorers:
+            speech = self.synth(F, E)
+            for kind, scorer in self.scorers.items():
+                parts[kind] = np.array([
+                    score_speech(scorer, s_s, ScoreContext(target_voiceprint=t))
+                    for s_s, t in zip(speech, targets)])
+        return SimpleNamespace(**parts)
+
     # -- episode protocol --------------------------------------------------
-    def _make_state(self, f_t: np.ndarray, e: np.ndarray) -> np.ndarray:
+    def prior_voiceprint(self, f_t: np.ndarray, e: np.ndarray) -> np.ndarray | None:
+        """The f_rv segment, frozen at reset: the voiceprint of the initial
+        embedding, or None when the layout leaves it out."""
+        if not self.layout.include_f_rv:
+            return None
+        return self._posterior(self.synth(f_t, e))[1]
+
+    def state(self, f_t: np.ndarray, e: np.ndarray,
+              f_rv: np.ndarray | None) -> np.ndarray:
+        """Flattened state; e_s and f_sv are the posteriors of synth(f_t, e)."""
         optional = {}
         if self.layout.include_f_rv:
-            optional["f_rv"] = self._f_rv
+            optional["f_rv"] = f_rv
         if self.layout.include_e_s or self.layout.include_f_sv:
             e_s, f_sv = self._posterior(self.synth(f_t, e))
             if self.layout.include_e_s:
@@ -148,21 +187,24 @@ class _EnvBase:
                 optional["f_sv"] = f_sv
         return self.layout.flatten(f_t, e, **optional)
 
+    def move(self, e: np.ndarray, refs: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Embedding after one action: SS adds action_scale * u (the squashed
+        delta) to e; FS fuses refs with logits u."""
+        if self.scenario == "ss":
+            return apply_ss(e, u, self.action_scale)
+        return fuse_fs(refs, u)[1]
+
     def reset(self, profile: SpeakerProfile, f_t: np.ndarray) -> np.ndarray:
-        if self.scenario == "ss" and profile.k != 1:
-            raise ValueError(f"SS scenario needs exactly 1 reference, got {profile.k}")
-        if self.scenario == "fs" and profile.k < 2:
-            raise ValueError(f"FS scenario needs k >= 2 references, got {profile.k}")
+        self.check_refs(profile.k)
         f_t = np.asarray(f_t, dtype=np.float64)
         self._profile = profile
         self._f_t = f_t
         self._e = mean_init(profile.refs)
-        if self.layout.include_f_rv:
-            _, self._f_rv = self._posterior(self.synth(f_t, self._e))
+        self._f_rv = self.prior_voiceprint(f_t, self._e)
         self._step_count = 0
         self._done = False
         self._sc_prev = self.fused(f_t, self._e, profile)
-        return self._make_state(f_t, self._e)
+        return self.state(f_t, self._e, self._f_rv)
 
     @property
     def initial_fused(self) -> float:
@@ -175,11 +217,12 @@ class _EnvBase:
         if self.scenario == "ss":
             if not isinstance(action, SSAction):
                 raise EpisodeError("SS scenario expects an SSAction")
-            self._e = apply_ss(self._e, action.delta, self.action_scale)
+            u = action.delta
         else:
             if not isinstance(action, FSAction):
                 raise EpisodeError("FS scenario expects an FSAction")
-            _, self._e = fuse_fs(self._profile.refs, action.logits)
+            u = action.logits
+        self._e = self.move(self._e, self._profile.refs, u)
         self._step_count += 1
         self._done = self._step_count >= self.step_budget
         triple = self.score_state(self._f_t, self._e, self._profile)
@@ -187,7 +230,7 @@ class _EnvBase:
         reward = sc - self._sc_prev
         self._sc_prev = sc
         return Transition(
-            next_state=self._make_state(self._f_t, self._e),
+            next_state=self.state(self._f_t, self._e, self._f_rv),
             reward=reward,
             score=triple,
             fused=sc,
@@ -253,19 +296,22 @@ class SyntheticVoiceEnv(_EnvBase):
 
     # -- world model -------------------------------------------------------
     def synth(self, f_t: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """Speech features of a text and an embedding; either may also be
+        an (N, .) row batch, giving (N, d_s)."""
         f_t = np.asarray(f_t, dtype=np.float64)
         e = np.asarray(e, dtype=np.float64)
-        if f_t.shape != (self.d_t,):
+        if f_t.shape[-1:] != (self.d_t,) or f_t.ndim > 2:
             raise ValueError(f"f_t has shape {f_t.shape}, expected ({self.d_t},)")
-        if e.shape != (self.d_e,):
+        if e.shape[-1:] != (self.d_e,) or e.ndim > 2:
             raise ValueError(f"e has shape {e.shape}, expected ({self.d_e},)")
-        return np.tanh(self.W1 @ f_t + self.W2 @ e + self.b)
+        # x @ M.T is bit-equal to M @ x for a vector x
+        return np.tanh(f_t @ self.W1.T + e @ self.W2.T + self.b)
 
     def voiceprint(self, f_t: np.ndarray, e: np.ndarray) -> np.ndarray:
         return self.V @ self.synth(f_t, e)
 
     def _posterior(self, s_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.E_post @ s_s, self.V @ s_s
+        return s_s @ self.E_post.T, s_s @ self.V.T
 
     def make_profile(self, speaker_id: int, rng: np.random.Generator,
                      k: int = 1, sigma_ref: float | None = None) -> SpeakerProfile:
@@ -289,15 +335,16 @@ class SyntheticVoiceEnv(_EnvBase):
         mos, intell = self._shell_scores(float(np.linalg.norm(e)))
         return ScoreTriple(sim=sim, mos=float(mos), intell=float(intell))
 
-    def _triple_batch(self, f_t, E, profile):
+    def _triple_batch(self, f_t, E, target):
         E = np.asarray(E, dtype=np.float64)
-        s = np.tanh(self.W1 @ np.asarray(f_t, dtype=np.float64) + E @ self.W2.T + self.b)
-        vp = s @ self.V.T
-        target = profile.target_voiceprint
+        vp = self.synth(f_t, E) @ self.V.T
         nv = np.linalg.norm(vp, axis=1)
-        nt = np.linalg.norm(target)
+        if target.ndim == 1:
+            dot, nt = vp @ target, np.linalg.norm(target)
+        else:
+            dot, nt = np.einsum("ij,ij->i", vp, target), np.linalg.norm(target, axis=1)
         with np.errstate(invalid="ignore", divide="ignore"):
-            cos = (vp @ target) / (nv * nt)
+            cos = dot / (nv * nt)
         cos = np.where((nv == 0) | (nt == 0), 0.0, np.clip(cos, -1.0, 1.0))
         sim = (1.0 + cos) / 2.0
         mos, intell = self._shell_scores(np.linalg.norm(E, axis=1))
@@ -352,7 +399,7 @@ class TradeoffEnv(_EnvBase):
         sim, mos, intell = self._scores_from_proj(float(self.w @ np.asarray(e, dtype=np.float64)))
         return ScoreTriple(sim=float(sim), mos=float(mos), intell=float(intell))
 
-    def _triple_batch(self, f_t, E, profile):
+    def _triple_batch(self, f_t, E, target):
         return self._scores_from_proj(np.asarray(E, dtype=np.float64) @ self.w)
 
 

@@ -12,6 +12,7 @@ import csv
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -19,13 +20,16 @@ from .agent import (
     Adam,
     PolicyNetwork,
     RolloutBatch,
+    action_log_prob,
     load_checkpoint,
     ppo_update,
     save_checkpoint,
     select_action,
 )
 from .core import RLConfig, StateLayout, mean_init
-from .env import SpeakerProfile, SyntheticVoiceEnv, TradeoffEnv, oracle_zoom
+from .env import (EpisodeError, SpeakerProfile, SyntheticVoiceEnv, TradeoffEnv,
+                  oracle_zoom)
+from .files import replace_on_success
 from .scoring import RewardWeights, fuse_scores
 from .seeding import substream
 
@@ -92,6 +96,7 @@ def gen_corpus(seed: int, n_speakers: int, k_refs: int, d_e: int, d_t: int,
 
     The file is self-describing: a versioned header carries every
     dimension and seed needed to reconstruct the matching environment.
+    It is written whole or not at all.
     """
     for name, n in [("n_speakers", n_speakers), ("k_refs", k_refs),
                     ("d_e", d_e), ("d_t", d_t),
@@ -118,7 +123,7 @@ def gen_corpus(seed: int, n_speakers: int, k_refs: int, d_e: int, d_t: int,
         + [f"{k}={meta[k]!r}" if isinstance(meta[k], float) else f"{k}={meta[k]}"
            for k in CORPUS_META_KEYS]
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with replace_on_success(path, newline="\n") as fh:
         fh.write(header + "\n")
         for p, t in zip(profiles, texts):
             fields = [
@@ -266,8 +271,8 @@ def _score_row(spec, cfg, episode, speaker, variant, triple, fused):
         "run_id": spec.run_id, "scenario": spec.scenario, "gamma": cfg.gamma,
         "action_scale": cfg.action_scale, "steps": spec.step_budget,
         "seed": cfg.seed, "episode": episode, "speaker": speaker,
-        "variant": variant, "sim": triple.sim, "mos": triple.mos,
-        "intell": triple.intell, "fused": fused,
+        "variant": variant, "sim": float(triple.sim), "mos": float(triple.mos),
+        "intell": float(triple.intell), "fused": float(fused),
     }
 
 
@@ -300,6 +305,46 @@ def run_episode(env, policy: PolicyNetwork | None, profile, f_t, *,
     }
 
 
+def run_episodes(env, policy: PolicyNetwork, profiles, F, noise):
+    """Play N sampled episodes in lockstep: one batched policy forward and
+    one batched score per step.
+
+    Row i is the episode run_episode(env, policy, profiles[i], F[i], rng=)
+    plays when its rng's standard normal draws are noise[i], of shape
+    (step_budget, action_dim). Returns run_episode's keys with per-step
+    arrays of shape (N, step_budget, ...), (N,) initial and final fused
+    scores, and the final (sim, mos, intell) arrays as "final_scores".
+    """
+    if policy.scenario != env.scenario:
+        raise EpisodeError(f"{policy.scenario} policy in a {env.scenario} environment")
+    n, steps = len(profiles), env.step_budget
+    if noise.shape != (n, steps, policy.action_dim):
+        raise ValueError(f"noise has shape {noise.shape}, expected "
+                         f"{(n, steps, policy.action_dim)}")
+    refs = np.stack([p.refs for p in profiles])
+    env.check_refs(refs.shape[1])
+    targets = np.stack([p.target_voiceprint for p in profiles])
+    E = mean_init(refs)
+    f_rv = env.prior_voiceprint(F, E)
+    sc0 = sc = fuse_scores(env.score_rows(F, E, targets), env.weights)
+    per_step = []
+    for t in range(steps):
+        states = env.state(F, E, f_rv)
+        mean, log_std, values, _ = policy.forward(states)
+        raws = mean + np.exp(log_std) * noise[:, t]
+        E = env.move(E, refs, np.tanh(raws) if env.scenario == "ss" else raws)
+        scores = env.score_rows(F, E, targets)
+        sc_prev, sc = sc, fuse_scores(scores, env.weights)
+        per_step.append({"states": states, "raws": raws,
+                         "log_probs": action_log_prob(policy, raws, mean, log_std),
+                         "rewards": sc - sc_prev, "values": values})
+    dones = np.zeros((n, steps), dtype=bool)
+    dones[:, -1] = True
+    return {**{k: np.stack([s[k] for s in per_step], axis=1) for k in per_step[0]},
+            "dones": dones, "initial_fused": sc0, "final_fused": sc,
+            "final_scores": scores}
+
+
 def train(spec: ExperimentSpec, corpus: Corpus | None = None, *,
           write_outputs: bool = True):
     """Train a PPO policy for the experiment; returns (policy, episode rows).
@@ -321,44 +366,45 @@ def train(spec: ExperimentSpec, corpus: Corpus | None = None, *,
     )
     rng = substream(cfg.seed, "rollout")
     opt = Adam(policy.params, cfg.learning_rate)
+    steps = spec.step_budget
+    # every episode takes exactly `steps` steps
+    n_episodes = -(-cfg.rollout_batch // steps)
     rows = []
     episode = 0
     diverged_streak = 0
     for _ in range(cfg.train_iters):
-        parts = {k: [] for k in ("states", "raws", "log_probs", "rewards",
-                                 "values", "dones")}
-        n_steps = 0
-        while n_steps < cfg.rollout_batch:
+        # per episode, in this order: speaker, text, then the sampling
+        # noise of each step (the draws of one-at-a-time play)
+        picks, F, noise = [], [], []
+        for _ in range(n_episodes):
             si = train_idx[rng.integers(len(train_idx))]
-            profile = profiles[si]
-            f_t = texts[si][rng.integers(texts[si].shape[0])]
-            ep = run_episode(env, policy, profile, f_t, rng=rng, mode="sample")
-            for k in parts:
-                parts[k].append(ep[k])
-            n_steps += len(ep["rewards"])
-            rows.append(_score_row(spec, cfg, episode, profile.speaker_id, "rl",
-                                   ep["final_triple"], ep["final_fused"]))
+            picks.append(si)
+            F.append(texts[si][rng.integers(texts[si].shape[0])])
+            noise.append(rng.standard_normal((steps, policy.action_dim)))
+        eps = run_episodes(env, policy, [profiles[si] for si in picks],
+                           np.array(F), np.array(noise))
+        init, final, scores = eps["initial_fused"], eps["final_fused"], eps["final_scores"]
+        for i, si in enumerate(picks):
+            triple = SimpleNamespace(sim=scores.sim[i], mos=scores.mos[i],
+                                     intell=scores.intell[i])
+            rows.append(_score_row(spec, cfg, episode, profiles[si].speaker_id,
+                                   "rl", triple, final[i]))
             episode += 1
-            drop_floor = ep["initial_fused"] - 0.5 * abs(ep["initial_fused"])
-            if ep["final_fused"] < drop_floor:
+            if final[i] < init[i] - 0.5 * abs(init[i]):
                 diverged_streak += 1
                 if diverged_streak >= 100:
                     raise DivergenceError(
                         f"fused score below half the raw baseline for "
                         f"{diverged_streak} consecutive episodes "
-                        f"(last: {ep['final_fused']:.4f} vs raw "
-                        f"{ep['initial_fused']:.4f})"
+                        f"(last: {final[i]:.4f} vs raw {init[i]:.4f})"
                     )
             else:
                 diverged_streak = 0
-        batch = RolloutBatch(
-            states=np.concatenate(parts["states"]),
-            raw_actions=np.concatenate(parts["raws"]),
-            log_probs=np.concatenate(parts["log_probs"]),
-            rewards=np.concatenate(parts["rewards"]),
-            values=np.concatenate(parts["values"]),
-            dones=np.concatenate(parts["dones"]),
-        ).compute_advantages(cfg.gamma, cfg.gae_lambda)
+        # episode-major rows, the order of one-at-a-time play
+        batch = RolloutBatch(*(
+            eps[k].reshape(-1, *eps[k].shape[2:])
+            for k in ("states", "raws", "log_probs", "rewards", "values", "dones")
+        )).compute_advantages(cfg.gamma, cfg.gae_lambda)
         ppo_update(
             policy, batch, clip_epsilon=cfg.clip_epsilon,
             update_epochs=cfg.update_epochs, learning_rate=cfg.learning_rate,
@@ -517,6 +563,8 @@ SWEEP_AXES = ("gamma", "action_scale", "steps", "lambda1", "lambda2")
 
 def _apply_axis(spec: ExperimentSpec, axis: str, value: float) -> ExperimentSpec:
     if axis == "steps":
+        if not float(value).is_integer():
+            raise ConfigError(f"steps must be a whole number, got {value}")
         axis, value = ("steps_ss" if spec.scenario == "ss" else "steps_fs"), int(value)
     return replace(spec, config=spec.config.with_overrides(**{axis: value}))
 
@@ -534,9 +582,10 @@ def sweep(spec: ExperimentSpec, axis: str, values, corpus: Corpus | None = None)
         raise ConfigError("sweep needs at least one value")
     if len(set(values)) != len(values):
         raise ConfigError(f"duplicate sweep values: {values}")
+    # every value is checked before the first point trains
+    points = [_apply_axis(spec, axis, value) for value in values]
     long_rows, summary_rows = [], []
-    for value in values:
-        point = _apply_axis(spec, axis, value)
+    for value, point in zip(values, points):
         point = replace(point, run_id=f"{spec.run_id}-{axis}-{value}")
         policy, _ = train(point, corpus, write_outputs=False)
         result = evaluate(policy, point, corpus)
@@ -612,10 +661,10 @@ def ablate(spec: ExperimentSpec, mode: str, corpus: Corpus | None = None):
 # -- CSV -------------------------------------------------------------------
 
 def write_rows(path, rows: list[dict], columns: list[str] | None = None) -> None:
-    """RFC-4180 CSV with a header row."""
+    """RFC-4180 CSV with a header row, written whole or not at all."""
     if columns is None:
         columns = list(rows[0].keys()) if rows else RUN_COLUMNS
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with replace_on_success(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()
         for row in rows:

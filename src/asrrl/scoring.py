@@ -41,6 +41,16 @@ def _check_range(kind: str, value: float) -> float:
     return value
 
 
+def check_ranges(parts: dict[str, np.ndarray]) -> None:
+    """_check_range over whole arrays of scores, keyed by kind; the first
+    bad value of a kind raises with the scalar message."""
+    for kind, values in parts.items():
+        lo, hi = SCORE_RANGES[kind]
+        ok = np.isfinite(values) & (values >= lo) & (values <= hi)
+        if not ok.all():
+            _check_range(kind, values[~ok][0])
+
+
 @dataclass(frozen=True)
 class ScoreTriple:
     """(similarity in [0,1], MOS in [0,5], intelligibility error in [0,1])."""

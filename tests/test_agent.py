@@ -291,6 +291,23 @@ def test_checkpoint_shape_mismatch_names_parameter(tmp_path):
         load_checkpoint(path)
 
 
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
+    policy = _policy("ss")
+    path = tmp_path / "ck.json"
+    save_checkpoint(policy, path, config=RLConfig(d_e=2, d_t=2), step=1)
+    before = path.read_bytes()
+
+    def failing_dump(doc, fh):
+        fh.write('{"version": 1, "config": {"d_e"')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", failing_dump)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(policy, path, config=RLConfig(d_e=2, d_t=2), step=2)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_checkpoint_missing_file(tmp_path):
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path / "absent.json")

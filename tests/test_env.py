@@ -258,6 +258,18 @@ def test_plugin_scorers_match_internal_path():
     via_plugins = scored.score_state(f_t, p.refs[0], p)
     assert abs(direct.sim - via_plugins.sim) <= 1e-12
     assert direct.mos == via_plugins.mos and direct.intell == via_plugins.intell
+    # lockstep: the plug-ins score every row, each with its own target
+    profiles = [_profile(env, seed=s) for s in range(5)]
+    F = substream(3, "texts").standard_normal((5, 3))
+    E = np.stack([q.refs[0] for q in profiles])
+    targets = np.stack([q.target_voiceprint for q in profiles])
+    rows = scored.score_rows(F, E, targets)
+    internal = env.score_rows(F, E, targets)
+    for i, q in enumerate(profiles):
+        one = scored.score_state(F[i], E[i], q)
+        assert abs(rows.sim[i] - one.sim) <= 1e-12
+        assert abs(rows.sim[i] - internal.sim[i]) <= 1e-12
+        assert rows.mos[i] == one.mos and rows.intell[i] == one.intell
 
 
 # -- grid oracle -----------------------------------------------------------

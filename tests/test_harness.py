@@ -1,5 +1,8 @@
 """Corpus I/O, training/eval harness, sweeps, ablations, CSV, CLI."""
 
+import math
+import os
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,9 +11,9 @@ import pytest
 
 import asrrl.harness as harness
 from asrrl import cli
-from asrrl.agent import PolicyNetwork
-from asrrl.core import RLConfig, mean_init
-from asrrl.env import SyntheticVoiceEnv
+from asrrl.agent import PolicyNetwork, load_checkpoint
+from asrrl.core import RLConfig, StateLayout, mean_init
+from asrrl.env import SyntheticVoiceEnv, TradeoffEnv
 from asrrl.harness import (
     ConfigError,
     DivergenceError,
@@ -27,7 +30,7 @@ from asrrl.harness import (
     train,
     write_rows,
 )
-from asrrl.scoring import fuse_scores
+from asrrl.scoring import ScoreRangeError, fuse_scores
 from asrrl.seeding import substream
 
 def _tiny_spec(tmp_path, corpus, **over):
@@ -192,6 +195,132 @@ def test_run_episode_scores_each_state_once(corpus, monkeypatch):
         ep["final_fused"] - ep["initial_fused"], abs=1e-12)
 
 
+def _lockstep_case(case):
+    """(env, policy, profiles, texts) with a policy whose mean moves."""
+    rng = substream(5, "lockstep-case")
+    if case == "tradeoff-ss":
+        w = rng.standard_normal(4)
+        env = TradeoffEnv(w / np.linalg.norm(w), 0.2, d_t=3, action_scale=0.1)
+    else:
+        layout = None
+        if case == "ss-segments":
+            layout = StateLayout(d_t=3, d_e=4, d_v=8, include_f_rv=True,
+                                 include_e_s=True, include_f_sv=True)
+        env = SyntheticVoiceEnv(d_e=4, d_t=3, seed=5, action_scale=0.05,
+                                scenario=case[:2], layout=layout)
+    k = 3 if env.scenario == "fs" else 1
+    policy = PolicyNetwork(env.layout, env.scenario, k=k, hidden=8,
+                           rng=substream(5, "policy-init"))
+    policy.params["mean.W"] *= 100.0
+    profiles = [env.make_profile(i, rng, k=k) for i in range(6)]
+    return env, policy, profiles, rng.standard_normal((6, 3))
+
+
+@pytest.mark.parametrize("case", ["ss", "ss-segments", "fs", "tradeoff-ss"])
+def test_run_episodes_match_run_episode(case):
+    """Lockstep rows equal one-at-a-time play on the same draws, and each
+    row's rewards telescope (train's episodes go through run_episodes)."""
+    env, policy, profiles, F = _lockstep_case(case)
+    shape = (env.step_budget, policy.action_dim)
+    noise = np.stack([substream(i, "noise").standard_normal(shape)
+                      for i in range(len(profiles))])
+    eps = harness.run_episodes(env, policy, profiles, F, noise)
+    assert eps["states"].shape == (len(profiles), env.step_budget, env.layout.size)
+    for i, profile in enumerate(profiles):
+        ep = harness.run_episode(env, policy, profile, F[i],
+                                 rng=substream(i, "noise"))
+        for key in ("states", "raws", "log_probs", "rewards", "values"):
+            np.testing.assert_allclose(eps[key][i], ep[key], rtol=0, atol=1e-12)
+        assert eps["dones"][i].tolist() == ep["dones"].tolist()
+        for key in ("initial_fused", "final_fused"):
+            assert abs(eps[key][i] - ep[key]) <= 1e-12
+        for kind in ("sim", "mos", "intell"):
+            assert abs(getattr(eps["final_scores"], kind)[i]
+                       - getattr(ep["final_triple"], kind)) <= 1e-12
+        net = eps["final_fused"][i] - eps["initial_fused"][i]
+        assert abs(math.fsum(eps["rewards"][i]) - net) <= 1e-9
+    # the moves are real: the embedding leaves its start
+    assert np.ptp(eps["rewards"]) > 0
+
+
+def test_train_draws_match_one_at_a_time_play(tmp_path, corpus, monkeypatch):
+    """Per episode: speaker, text, then each step's noise, from the rollout
+    stream, which the checkpoint saves in the same state; the PPO batch
+    holds the episodes one after another."""
+    batches = []
+    update = harness.ppo_update
+    monkeypatch.setattr(harness, "ppo_update",
+                        lambda policy, batch, **kw: batches.append(batch)
+                        or update(policy, batch, **kw))
+    spec = _tiny_spec(tmp_path, corpus, train_iters=1)
+    _, rows = train(spec, corpus)
+    env, profiles, texts = build_env(spec, corpus)
+    train_idx, _ = corpus.split(spec.eval_frac)
+    policy = PolicyNetwork(env.layout, "ss", k=1, hidden=8,
+                           rng=substream(spec.config.seed, "policy-init"))
+    rng = substream(spec.config.seed, "rollout")
+    played = []
+    for row in rows:
+        si = train_idx[rng.integers(len(train_idx))]
+        f_t = texts[si][rng.integers(texts[si].shape[0])]
+        ep = harness.run_episode(env, policy, profiles[si], f_t, rng=rng)
+        assert row["speaker"] == profiles[si].speaker_id
+        assert abs(row["fused"] - ep["final_fused"]) <= 1e-12
+        played.append(ep)
+    (batch,) = batches
+    for field, key in (("states", "states"), ("raw_actions", "raws"),
+                       ("log_probs", "log_probs"), ("rewards", "rewards"),
+                       ("values", "values"), ("dones", "dones")):
+        np.testing.assert_allclose(getattr(batch, field),
+                                   np.concatenate([ep[key] for ep in played]),
+                                   rtol=0, atol=1e-12)
+    _, _, step, saved = load_checkpoint(tmp_path / "t" / "checkpoint.json")
+    assert step == len(rows) == 6
+    assert saved.bit_generator.state == rng.bit_generator.state
+
+
+def test_train_rejects_out_of_range_scores(tmp_path, corpus, monkeypatch):
+    """A score out of range or non-finite, from a plug-in or from the env's
+    own scoring, at the first or a later step, raises ScoreRangeError."""
+    class Plugin:
+        kind = "sim"
+
+        def __init__(self, value, after):
+            self.value, self.after, self.calls = value, after, 0
+
+        def score(self, speech, context):
+            self.calls += 1
+            return self.value if self.calls > self.after else 0.5
+
+    def bad_internal_intell(env):
+        triple_batch, calls = env._triple_batch, []
+
+        def shifted(*args):
+            calls.append(1)
+            sim, mos, intell = triple_batch(*args)
+            return sim, mos, intell + (2.0 if len(calls) > 2 else 0.0)
+
+        env._triple_batch = shifted
+
+    cases = [
+        (lambda env: setattr(env, "scorers", {"sim": Plugin(1.5, 0)}), "sim score 1.5"),
+        (lambda env: setattr(env, "scorers", {"sim": Plugin(float("nan"), 20)}),
+         "sim score nan"),
+        (bad_internal_intell, "intell score"),
+    ]
+    real = harness.build_env
+    spec = _tiny_spec(tmp_path, corpus)
+    for sabotage, match in cases:
+        def sabotaged(*args):
+            env, profiles, texts = real(*args)
+            sabotage(env)
+            return env, profiles, texts
+
+        monkeypatch.setattr(harness, "build_env", sabotaged)
+        with pytest.raises(ScoreRangeError, match=match):
+            train(spec, corpus, write_outputs=False)
+
+
 def test_zero_learning_rate_is_a_no_op(tmp_path, corpus):
     spec = _tiny_spec(tmp_path, corpus, learning_rate=1e-300)
     policy, _ = train(spec, corpus, write_outputs=False)
@@ -203,14 +332,14 @@ def test_zero_learning_rate_is_a_no_op(tmp_path, corpus):
 
 
 def test_divergence_guard_aborts(tmp_path, corpus, monkeypatch):
-    real = harness.run_episode
+    real = harness.run_episodes
 
-    def sabotaged(env, policy, profile, f_t, *, rng=None, mode="sample"):
-        ep = real(env, policy, profile, f_t, rng=rng, mode=mode)
-        ep["final_fused"] = ep["initial_fused"] - abs(ep["initial_fused"])
-        return ep
+    def sabotaged(*args):
+        eps = real(*args)
+        eps["final_fused"] = eps["initial_fused"] - np.abs(eps["initial_fused"])
+        return eps
 
-    monkeypatch.setattr(harness, "run_episode", sabotaged)
+    monkeypatch.setattr(harness, "run_episodes", sabotaged)
     spec = _tiny_spec(tmp_path, corpus, train_iters=30)
     with pytest.raises(DivergenceError, match="100 consecutive"):
         train(spec, corpus, write_outputs=False)
@@ -294,6 +423,10 @@ def test_sweep_refuses_duplicates_and_unknown_axis(tmp_path, corpus):
         sweep(spec, "temperature", [1.0], corpus)
     with pytest.raises(ConfigError):
         sweep(spec, "gamma", [], corpus)
+    # a fractional step budget would run as its floor under its own label
+    with pytest.raises(ConfigError, match="whole number"):
+        sweep(spec, "steps", [1.0, 1.5], corpus)
+    assert not (tmp_path / "t").exists()
 
 
 def test_sweep_emits_complete_csvs(tmp_path, corpus):
@@ -340,6 +473,35 @@ def test_write_read_rows_roundtrip_with_quoting(tmp_path):
     path = tmp_path / "r.csv"
     write_rows(path, rows, columns=["a", "b"])
     assert read_rows(path) == rows
+
+
+def test_write_rows_whole_file_through_links_and_pipes(tmp_path):
+    target = tmp_path / "real.csv"
+    write_rows(target, [{"a": 1}])
+
+    class Broken(dict):
+        def get(self, *args):
+            raise RuntimeError("row failed")
+
+    # a row that fails mid-file leaves the previous file and no temporary
+    with pytest.raises(RuntimeError, match="row failed"):
+        write_rows(target, [{"a": 2}, Broken(a=3)])
+    assert target.read_text() == "a\n1\n"
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    write_rows(link, [{"a": 4}])
+    assert link.is_symlink() and target.read_text() == "a\n4\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+    # a pipe is written through, not replaced by a file
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()),
+                              daemon=True)
+    reader.start()
+    write_rows(fifo, [{"a": 5}])
+    reader.join(timeout=10)
+    assert not reader.is_alive() and got == ["a\n5\n"] and fifo.is_fifo()
 
 
 def test_parse_config_file(tmp_path):
@@ -404,6 +566,11 @@ def test_cli_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["sweep", "--corpus", str(corpus_path), "--axis", "gamma",
                   "--values", "0.3,0.3", "--out", str(tmp_path / "runs")])
+    assert exc.value.code == 2
+    # a fractional step budget is a config error (2)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--corpus", str(corpus_path), "--axis", "steps",
+                  "--values", "1,1.5", "--out", str(tmp_path / "runs")])
     assert exc.value.code == 2
     # missing corpus file (4)
     with pytest.raises(SystemExit) as exc:

@@ -13,6 +13,7 @@ from asrrl.scoring import (
     ScoreRangeError,
     ScoreTriple,
     ScorerFault,
+    check_ranges,
     cosine_similarity_score,
     fuse_scores,
     score_speech,
@@ -49,10 +50,18 @@ def test_fuse_scores_on_arrays_matches_scalar_and_keeps_inputs():
 
 
 def test_triple_rejects_out_of_range():
+    kinds = ("sim", "mos", "intell")
+    check_ranges({k: np.array([0.0, 0.5, hi]) for k, hi in zip(kinds, (1, 5, 1))})
     for bad in [(1.1, 5.0, 0.0), (-0.1, 0.0, 0.0), (0.5, 5.5, 0.0),
-                (0.5, 1.0, 2.0), (float("nan"), 1.0, 0.0)]:
+                (0.5, 1.0, 2.0), (float("nan"), 1.0, 0.0), (0.5, float("inf"), 0.0)]:
         with pytest.raises(ScoreRangeError):
             ScoreTriple(*bad)
+        # the array form, with the bad triple between two good rows
+        with pytest.raises(ScoreRangeError):
+            check_ranges({k: np.array([ok, v, ok])
+                          for k, v, ok in zip(kinds, bad, (0.5, 2.0, 0.5))})
+    with pytest.raises(ScoreRangeError, match="mos score 5.5 outside"):
+        check_ranges({"mos": np.array([1.0, 5.5, 6.0])})
 
 
 @settings(max_examples=300, deadline=None)
