@@ -124,6 +124,11 @@ class _EnvBase:
             raise ValueError(f"FS scenario needs k >= 2 references, got {k}")
 
     # -- scoring -----------------------------------------------------------
+    # score_state is the one-row twin of score_rows and stays scalar: four
+    # prototypes of run_episode as a batch of one took 1.31-1.48x the time
+    # of a scalar episode (medians of 60 alternations each), which would
+    # cut the unscored episode rate of perfbench's scored_eval by about a
+    # quarter.
     def score_state(self, f_t: np.ndarray, e: np.ndarray,
                     profile: SpeakerProfile | None = None) -> ScoreTriple:
         profile = profile if profile is not None else self._profile
@@ -144,21 +149,21 @@ class _EnvBase:
 
     def fused_batch(self, f_t: np.ndarray, E: np.ndarray,
                     profile: SpeakerProfile) -> np.ndarray:
-        """Fused scores for many embeddings at once (internal path only)."""
-        sim, mos, intell = self._triple_batch(f_t, E, profile.target_voiceprint)
-        return fuse_scores(SimpleNamespace(sim=sim, mos=mos, intell=intell),
+        """Fused scores of the rows of E for one speaker and text."""
+        return fuse_scores(self.score_rows(f_t, E, profile.target_voiceprint),
                            self.weights)
 
     def score_rows(self, F: np.ndarray, E: np.ndarray,
                    targets: np.ndarray) -> SimpleNamespace:
-        """Score arrays (sim, mos, intell) of N rows under score_state's
-        rules: each plug-in scorer scores every row through score_speech,
-        and a value outside its range raises ScoreRangeError."""
+        """Score arrays (sim, mos, intell) of the N rows of E, for one F and
+        target or one per row, under score_state's rules: each plug-in scores
+        every row through score_speech; out of range raises ScoreRangeError."""
         sim, mos, intell = self._triple_batch(F, E, targets)
         parts = {"sim": sim, "mos": mos, "intell": intell}
         check_ranges(parts)
         if self.scorers:
             speech = self.synth(F, E)
+            targets = np.broadcast_to(targets, (len(speech), targets.shape[-1]))
             for kind, scorer in self.scorers.items():
                 parts[kind] = np.array([
                     score_speech(scorer, s_s, ScoreContext(target_voiceprint=t))

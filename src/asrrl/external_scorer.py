@@ -131,7 +131,8 @@ def serve_stdio(score_fn) -> None:
     """Reference server loop: read requests from stdin, reply on stdout.
 
     ``score_fn(kind, speech, target, text_id) -> float``. Exceptions are
-    reported in-band as protocol errors.
+    reported in-band as protocol errors; a line with no readable id gets
+    ``{"id": null, "error": ...}``.
     """
     import sys
 
@@ -139,12 +140,10 @@ def serve_stdio(score_fn) -> None:
         raw = raw.strip()
         if not raw:
             continue
+        req_id = None
         try:
             msg = json.loads(raw.decode("utf-8"))
             req_id = msg["id"]
-        except Exception:
-            continue  # cannot even attribute an id; drop
-        try:
             score = float(
                 score_fn(
                     msg["kind"],
@@ -156,6 +155,6 @@ def serve_stdio(score_fn) -> None:
             )
             reply = {"id": req_id, "score": score}
         except Exception as exc:
-            reply = {"id": req_id, "error": str(exc)}
+            reply = {"id": req_id, "error": f"{type(exc).__name__}: {exc}"}
         sys.stdout.buffer.write((json.dumps(reply) + "\n").encode("utf-8"))
         sys.stdout.buffer.flush()

@@ -9,7 +9,6 @@ through the swept parameter.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -78,8 +77,26 @@ def _fmt_vec(v: np.ndarray) -> str:
     return ",".join(repr(float(x)) for x in v)
 
 
-def _parse_vec(s: str) -> np.ndarray:
-    return np.array([float(x) for x in s.split(",")], dtype=np.float64)
+def _parse_rows(s: str, n_rows: int, width: int, where: str,
+                name: str) -> np.ndarray:
+    """A record field of ';'-separated vectors of ','-separated floats, as
+    an (n_rows, width) array; any other shape is a ConfigError."""
+    rows = s.split(";")
+    if len(rows) != n_rows:
+        raise ConfigError(f"{where}: {name} has {len(rows)} vectors, "
+                          f"header says {n_rows}")
+    out = np.empty((n_rows, width))
+    for i, row in enumerate(rows):
+        vals = row.split(",")
+        if len(vals) != width:
+            raise ConfigError(f"{where}: {name} vector {i} has {len(vals)} "
+                              f"values, header says {width}")
+        try:
+            out[i] = [float(x) for x in vals]
+        except ValueError:
+            raise ConfigError(f"{where}: {name} vector {i} is not numeric: "
+                              f"{row!r}") from None
+    return out
 
 
 CORPUS_META_KEYS = {
@@ -152,19 +169,29 @@ def load_corpus(path) -> Corpus:
         missing = set(CORPUS_META_KEYS) - set(meta)
         if missing:
             raise ConfigError(f"corpus header missing keys {sorted(missing)}")
+        d_e = meta["d_e"]
         profiles, texts = [], []
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             line = line.rstrip("\n")
             if not line:
                 continue
-            sid, e_star, refs, vp, txts = line.split("\t")
+            where = f"{path}:{lineno}"
+            fields = line.split("\t")
+            if len(fields) != 5:
+                raise ConfigError(f"{where}: {len(fields)} fields, expected 5")
+            sid, e_star, refs, vp, txts = fields
+            try:
+                sid = int(sid)
+            except ValueError:
+                raise ConfigError(f"{where}: speaker id {sid!r} is not an integer") from None
             profiles.append(SpeakerProfile(
-                int(sid),
-                _parse_vec(e_star),
-                np.stack([_parse_vec(r) for r in refs.split(";")]),
-                _parse_vec(vp),
+                sid,
+                _parse_rows(e_star, 1, d_e, where, "e_star")[0],
+                _parse_rows(refs, meta["k"], d_e, where, "refs"),
+                _parse_rows(vp, 1, meta["d_v"], where, "voiceprint")[0],
             ))
-            texts.append(np.stack([_parse_vec(t) for t in txts.split(";")]))
+            texts.append(_parse_rows(txts, meta["texts_per_speaker"], meta["d_t"],
+                                     where, "texts"))
     if len(profiles) != meta["n_speakers"]:
         raise ConfigError(
             f"corpus has {len(profiles)} records, header says {meta['n_speakers']}"
@@ -230,11 +257,6 @@ def build_env(spec: ExperimentSpec, corpus: Corpus | None):
                 f"corpus dims (d_e={m['d_e']}, d_t={m['d_t']}) do not match "
                 f"config (d_e={cfg.d_e}, d_t={cfg.d_t})"
             )
-        need_k1 = spec.scenario == "ss"
-        if need_k1 and m["k"] != 1:
-            raise ConfigError(f"SS scenario needs a k=1 corpus, got k={m['k']}")
-        if not need_k1 and m["k"] < 2:
-            raise ConfigError(f"FS scenario needs k >= 2, corpus has k={m['k']}")
         env = SyntheticVoiceEnv(
             d_e=m["d_e"], d_t=m["d_t"], d_s=m["d_s"], d_v=m["d_v"],
             seed=m["seed"], scenario=spec.scenario,
@@ -242,6 +264,10 @@ def build_env(spec: ExperimentSpec, corpus: Corpus | None):
             weights=spec.weights, layout=spec.layout(d_v=m["d_v"]),
             sigma_star=m["sigma_star"], sigma_ref=m["sigma_ref"],
         )
+        try:
+            env.check_refs(m["k"])
+        except ValueError as exc:
+            raise ConfigError(f"corpus has k={m['k']}: {exc}") from None
         return env, corpus.profiles, corpus.texts
     if spec.env_kind == "tradeoff":
         rng = substream(cfg.seed, "tradeoff-env")
@@ -461,10 +487,10 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
              variants: tuple[str, ...] = ("rl", "raw")) -> EvalResult:
     """Mode-action evaluation on the chosen speaker split.
 
-    Emits spec.eval_episodes episodes per speaker for the rl variant,
-    one scored row per (speaker, text) for raw, and a grid-oracle row
-    per (speaker, text) for oracle; oracle_best refuses grids too large
-    for d_e.
+    Emits spec.eval_episodes rows per speaker for rl, where episode i
+    replays text i % n_texts: each distinct, deterministic episode plays
+    once. Raw and oracle give one row per (speaker, text); oracle_best
+    refuses grids too large for d_e.
     """
     cfg = spec.config
     env, profiles, texts = build_env(spec, corpus)
@@ -485,9 +511,10 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
         profile, spk_texts = profiles[si], texts[si]
         n_texts = spk_texts.shape[0]
         if "rl" in variants and policy is not None:
+            eps = [run_episode(env, policy, profile, f_t, mode="mode")
+                   for f_t in spk_texts[:spec.eval_episodes]]
             for ei in range(spec.eval_episodes):
-                f_t = spk_texts[ei % n_texts]
-                ep = run_episode(env, policy, profile, f_t, mode="mode")
+                ep = eps[ei % n_texts]
                 rows.append(_score_row(spec, cfg, ei, profile.speaker_id, "rl",
                                        ep["final_triple"], ep["final_fused"]))
         for ti in range(n_texts):
@@ -527,8 +554,9 @@ def finetune_proxy(env, profile, f_t, *, steps: int = 2000,
     """Gradient ascent on the fused score w.r.t. the embedding.
 
     Central finite differences with step h = 1e-4 stand in for
-    fine-tuning a real model. Returns (best embedding, best fused score)
-    over the whole trajectory.
+    fine-tuning a real model; each step scores the stencil e + [0; hI; -hI]
+    in one fused_batch call. Returns (best embedding, best fused score)
+    over the whole trajectory, starting from the raw embedding's score.
     """
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
@@ -536,23 +564,21 @@ def finetune_proxy(env, profile, f_t, *, steps: int = 2000,
     e = mean_init(profile.refs)
     d = e.shape[0]
     best_e, best_sc = e.copy(), env.fused(f_t, e, profile)
+    if step_size == 0.0:
+        return best_e, best_sc
+    stencil = np.concatenate([np.zeros((1, d)), h * np.eye(d), -h * np.eye(d)])
     for _ in range(steps):
-        if step_size == 0.0:
-            break
-        grad = np.empty(d)
-        for i in range(d):
-            ep, em = e.copy(), e.copy()
-            ep[i] += h
-            em[i] -= h
-            grad[i] = (env.fused(f_t, ep, profile) - env.fused(f_t, em, profile)) / (2 * h)
-            if not math.isfinite(grad[i]):
-                raise FloatingPointError(
-                    f"non-finite fused-score gradient at coordinate {i}"
-                )
+        sc = env.fused_batch(f_t, e + stencil, profile)
+        if sc[0] > best_sc:
+            best_sc, best_e = float(sc[0]), e
+        grad = (sc[1:d + 1] - sc[d + 1:]) / (2 * h)
+        if not np.isfinite(grad).all():
+            raise FloatingPointError("non-finite fused-score gradient at "
+                                     f"coordinate {np.argmin(np.isfinite(grad))}")
         e = e + step_size * grad
-        sc = env.fused(f_t, e, profile)
-        if sc > best_sc:
-            best_sc, best_e = sc, e.copy()
+    sc = float(env.fused_batch(f_t, e[None], profile)[0])
+    if sc > best_sc:
+        best_sc, best_e = sc, e
     return best_e, best_sc
 
 

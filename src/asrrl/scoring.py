@@ -18,8 +18,8 @@ import numpy as np
 
 
 class ScorerFault(RuntimeError):
-    """An external or plug-in scorer misbehaved (timeout, protocol
-    violation, malformed output). Distinct from an out-of-range score."""
+    """An external or plug-in scorer misbehaved (protocol violation,
+    malformed output, lost connection). Distinct from an out-of-range score."""
 
 
 class ScoreRangeError(ValueError):

@@ -12,7 +12,9 @@ from asrrl.env import (
     oracle_best,
     oracle_zoom,
 )
-from asrrl.scoring import RewardWeights, ScoreContext, cosine_similarity_score
+from asrrl.harness import finetune_proxy
+from asrrl.scoring import (RewardWeights, ScoreContext, ScoreRangeError,
+                           cosine_similarity_score, fuse_scores)
 from asrrl.seeding import substream
 
 
@@ -270,6 +272,63 @@ def test_plugin_scorers_match_internal_path():
         assert abs(rows.sim[i] - one.sim) <= 1e-12
         assert abs(rows.sim[i] - internal.sim[i]) <= 1e-12
         assert rows.mos[i] == one.mos and rows.intell[i] == one.intell
+
+
+class _SpeechScorer:
+    """A plug-in whose score follows the speech; it records each target."""
+
+    def __init__(self, kind, top):
+        self.kind, self.top, self.targets = kind, top, []
+
+    def score(self, speech, context):
+        self.targets.append(context.target_voiceprint)
+        return self.top * (1.0 + np.tanh(speech.sum())) / 2.0
+
+
+@pytest.mark.parametrize("kind", ["voice", "tradeoff"])
+def test_plugin_fused_batch_matches_score_state(kind):
+    """fused_batch scores every row through the plug-ins, each with the
+    speaker's target, as score_state does for one embedding."""
+    scorers = {"sim": _SpeechScorer("sim", 1.0), "mos": _SpeechScorer("mos", 5.0)}
+    env = _env(seed=2, scorers=scorers) if kind == "voice" else _tenv(scorers=scorers)
+    rng = substream(4, "plugin-batch")
+    p = env.make_profile(0, rng, k=1)
+    f_t = rng.standard_normal(env.d_t)
+    E = p.refs[0] + 0.1 * rng.standard_normal((16, env.d_e))
+    batch = env.fused_batch(f_t, E, p)
+    one = [fuse_scores(env.score_state(f_t, e, p), env.weights) for e in E]
+    np.testing.assert_allclose(batch, one, rtol=0, atol=1e-12)
+    assert np.ptp(batch) > 0
+    for scorer in scorers.values():
+        assert len(scorer.targets) == 2 * len(E)
+        assert all(np.array_equal(t, p.target_voiceprint) for t in scorer.targets)
+
+
+class _OutOfRangeAfter:
+    kind = "sim"
+
+    def __init__(self, after):
+        self.after, self.calls = after, 0
+
+    def score(self, speech, context):
+        self.calls += 1
+        return 1.5 if self.calls > self.after else 0.5
+
+
+def test_out_of_range_plugin_raises_from_batch_paths():
+    env = _env(d_e=2, seed=3)
+    p = _profile(env, seed=3)
+    f_t = env.f_t_cal
+    env.scorers = {"sim": _OutOfRangeAfter(0)}
+    with pytest.raises(ScoreRangeError, match="sim score 1.5"):
+        env.fused_batch(f_t, p.refs, p)
+    with pytest.raises(ScoreRangeError, match="sim score 1.5"):
+        oracle_best(env, p, f_t, (-0.2, 0.2, 5))
+    # the scalar start is in range; the first stencil row is not
+    env.scorers = {"sim": _OutOfRangeAfter(1)}
+    with pytest.raises(ScoreRangeError, match="sim score 1.5"):
+        finetune_proxy(env, p, f_t, steps=3)
+    assert env.scorers["sim"].calls == 2
 
 
 # -- grid oracle -----------------------------------------------------------

@@ -1,7 +1,9 @@
 """Newline-delimited JSON scorer protocol: matching, faults, subprocess."""
 
+import io
 import json
 import socket
+import subprocess
 import sys
 import threading
 
@@ -162,3 +164,22 @@ def test_spawned_stdio_server_roundtrip():
         req = client.submit("intell", [0.1])
         with pytest.raises(ScorerFault, match="no reference text"):
             client.wait(req)
+
+
+def test_stdio_server_answers_unattributable_lines_in_band():
+    """A line with no readable id gets {"id": null, "error": ...}, which
+    the client raises as ScorerFault instead of waiting forever."""
+    requests = [b"not json", b'{"kind": "sim", "speech": [0.5]}', b"[1, 2]",
+                b'{"id": 4, "kind": "sim", "speech": [0.5]}']
+    out = subprocess.run([sys.executable, "-c", SERVER_SCRIPT],
+                         input=b"\n".join(requests) + b"\n",
+                         capture_output=True, timeout=60, check=True).stdout
+    replies = out.splitlines()
+    assert len(replies) == len(requests)
+    for line in replies[:3]:
+        msg = json.loads(line)
+        assert msg["id"] is None and msg["error"]
+    assert json.loads(replies[3]) == {"id": 4, "score": 0.5}
+    client = ExternalScorerClient(io.BytesIO(replies[0] + b"\n"), io.BytesIO())
+    with pytest.raises(ScorerFault, match="without integer id"):
+        client.wait(0)

@@ -137,6 +137,42 @@ def test_load_corpus_checks_record_count(tmp_path, corpus):
         load_corpus(path)
 
 
+def _one_short(field, i=0):
+    """A record field with its vector i one value short."""
+    vecs = field.split(";")
+    vecs[i] = vecs[i].rsplit(",", 1)[0]
+    return ";".join(vecs)
+
+
+# (edit of a record's fields, what the ConfigError names after path:line)
+CORRUPT_RECORDS = [
+    (lambda f: f[:1] + [_one_short(f[1])] + f[2:], "e_star"),
+    (lambda f: f[:2] + [_one_short(f[2])] + f[3:], "refs"),
+    (lambda f: f[:2] + [f[2] + ";" + f[2]] + f[3:], "refs"),
+    (lambda f: f[:3] + [_one_short(f[3])] + f[4:], "voiceprint"),
+    (lambda f: f[:4] + [_one_short(f[4], -1)], "texts"),
+    (lambda f: f[:4] + [f[4].rsplit(";", 1)[0]], "texts"),
+    (lambda f: f[:4], "4 fields"),
+    (lambda f: f[:1] + [f[1].replace(",", ",x", 1)] + f[2:], "e_star"),
+    (lambda f: ["two"] + f[1:], "speaker id"),
+]
+
+
+def _corrupt(path, edit, lineno=4):
+    """Rewrite the record on line lineno (speaker 2) with edit."""
+    lines = path.read_text().split("\n")
+    lines[lineno - 1] = "\t".join(edit(lines[lineno - 1].split("\t")))
+    path.write_text("\n".join(lines))
+
+
+@pytest.mark.parametrize("edit,field", CORRUPT_RECORDS)
+def test_load_corpus_names_line_and_field(tmp_path, corpus, edit, field):
+    path = tmp_path / "c.tsv"
+    _corrupt(path, edit)
+    with pytest.raises(ConfigError, match=f"c.tsv:4: {field}"):
+        load_corpus(path)
+
+
 def test_split_takes_tail_for_eval(corpus):
     train_idx, eval_idx = corpus.split(0.25)
     assert train_idx == [0, 1, 2, 3, 4, 5] and eval_idx == [6, 7]
@@ -362,6 +398,37 @@ def test_evaluate_row_counts_and_summary_consistency(tmp_path, corpus):
                    - np.mean([r["fused"] for r in sel])) <= 1e-9
 
 
+@pytest.mark.parametrize("n_texts", [2, 3, 4])
+@pytest.mark.parametrize("eval_episodes", [1, 3, 7, 100])
+def test_evaluate_plays_each_distinct_episode_once(tmp_path, monkeypatch,
+                                                   eval_episodes, n_texts):
+    """Rows equal one-at-a-time mode play of every episode index, bitwise;
+    run_episode runs once per distinct (speaker, text)."""
+    corpus = gen_corpus(9, 10, 1, 4, 3, n_texts, tmp_path / "c.tsv")
+    spec = replace(_tiny_spec(tmp_path, corpus), eval_episodes=eval_episodes)
+    env, profiles, texts = build_env(spec, corpus)
+    policy = PolicyNetwork(env.layout, "ss", k=1, hidden=8,
+                           rng=substream(3, "policy-init"))
+    policy.params["mean.W"] *= 100.0  # the mode action moves the embedding
+    _, eval_idx = corpus.split(spec.eval_frac)
+    cfg = spec.config
+    want = []
+    for si in eval_idx:
+        for ei in range(eval_episodes):
+            ep = harness.run_episode(env, policy, profiles[si],
+                                     texts[si][ei % n_texts], mode="mode")
+            want.append(harness._score_row(spec, cfg, ei, profiles[si].speaker_id,
+                                           "rl", ep["final_triple"], ep["final_fused"]))
+    played = []
+    run_episode = harness.run_episode
+    monkeypatch.setattr(harness, "run_episode",
+                        lambda *a, **k: played.append(1) or run_episode(*a, **k))
+    rows = evaluate(policy, spec, corpus, variants=("rl",)).rows
+    assert rows == want
+    assert len({r["fused"] for r in rows}) > 1
+    assert len(played) == len(eval_idx) * min(eval_episodes, n_texts)
+
+
 def test_evaluate_raw_fs_variant_scores_mean_init(tmp_path):
     corpus = gen_corpus(2, 6, 3, 4, 3, 2, tmp_path / "fs.tsv")
     spec = _tiny_spec(tmp_path, corpus)
@@ -401,9 +468,62 @@ def test_finetune_zero_step_size_is_identity(tmp_path, corpus):
 def test_finetune_nonfinite_gradient_names_coordinate(tmp_path, corpus):
     spec = _tiny_spec(tmp_path, corpus)
     env, profiles, texts = build_env(spec, corpus)
-    env.fused = lambda *a, **k: float("nan")
-    with pytest.raises(FloatingPointError, match="coordinate 0"):
+    fused_batch = env.fused_batch
+
+    def nan_at_backward_point_2(f_t, E, profile):
+        sc = fused_batch(f_t, E, profile)
+        sc[1 + env.d_e + 2] = np.nan  # rows: e, e + h*I, e - h*I
+        return sc
+
+    env.fused_batch = nan_at_backward_point_2
+    with pytest.raises(FloatingPointError, match="coordinate 2"):
         finetune_proxy(env, profiles[0], texts[0][0], steps=1)
+
+
+def _scalar_finetune(env, profile, f_t, steps, step_size=0.01, h=1e-4):
+    """Reference: one scalar fused call per stencil point."""
+    e = mean_init(profile.refs)
+    best_e, best_sc = e.copy(), env.fused(f_t, e, profile)
+    for _ in range(steps):
+        grad = np.empty(e.shape[0])
+        for i in range(e.shape[0]):
+            ep, em = e.copy(), e.copy()
+            ep[i] += h
+            em[i] -= h
+            grad[i] = (env.fused(f_t, ep, profile) - env.fused(f_t, em, profile)) / (2 * h)
+        e = e + step_size * grad
+        sc = env.fused(f_t, e, profile)
+        if sc > best_sc:
+            best_sc, best_e = sc, e.copy()
+    return best_e, best_sc
+
+
+def test_finetune_matches_scalar_reference_in_one_call_per_step(tmp_path, corpus):
+    """fused_batch and fused differ by a few ulps (up to 2.2e-16), which a
+    2h = 2e-4 difference quotient turns into ~1e-12 per gradient entry
+    and a step of size 0.01 into ~1e-14 per coordinate. After 300 steps
+    the gap measured at most 1e-13 in e and 7e-16 in the score; the
+    bounds below leave 100x room."""
+    spec = _tiny_spec(tmp_path, corpus)
+    env, profiles, texts = build_env(spec, corpus)
+    calls = {"fused": 0, "fused_batch": 0}
+    for name in calls:
+        real = getattr(env, name)
+
+        def counted(*a, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*a)
+
+        setattr(env, name, counted)
+    for p, f_t in ((profiles[0], texts[0][0]), (profiles[5], texts[5][1])):
+        for counter in calls:
+            calls[counter] = 0
+        e, sc = finetune_proxy(env, p, f_t, steps=300)
+        assert calls == {"fused": 1, "fused_batch": 301}
+        e_ref, sc_ref = _scalar_finetune(env, p, f_t, steps=300)
+        assert np.max(np.abs(e - e_ref)) <= 1e-11
+        assert abs(sc - sc_ref) <= 1e-13
+        assert sc >= env.fused(f_t, mean_init(p.refs), p)
 
 
 def test_finetune_validates_steps(tmp_path, corpus):
@@ -572,6 +692,14 @@ def test_cli_exit_codes(tmp_path):
         cli.main(["sweep", "--corpus", str(corpus_path), "--axis", "steps",
                   "--values", "1,1.5", "--out", str(tmp_path / "runs")])
     assert exc.value.code == 2
+    # a malformed corpus record is a config error (2)
+    for edit, _ in CORRUPT_RECORDS:
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(corpus_path.read_text())
+        _corrupt(bad, edit)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--corpus", str(bad), "--out", str(tmp_path / "runs")])
+        assert exc.value.code == 2
     # missing corpus file (4)
     with pytest.raises(SystemExit) as exc:
         cli.main(["train", "--corpus", str(tmp_path / "absent.tsv")])
