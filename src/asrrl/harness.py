@@ -487,10 +487,10 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
              variants: tuple[str, ...] = ("rl", "raw")) -> EvalResult:
     """Mode-action evaluation on the chosen speaker split.
 
-    Emits spec.eval_episodes rows per speaker for rl, where episode i
-    replays text i % n_texts: each distinct, deterministic episode plays
-    once. Raw and oracle give one row per (speaker, text); oracle_best
-    refuses grids too large for d_e.
+    Emits spec.eval_episodes episodes per speaker for the rl variant,
+    one scored row per (speaker, text) for raw, and a grid-oracle row
+    per (speaker, text) for oracle; oracle_best refuses grids too large
+    for d_e.
     """
     cfg = spec.config
     env, profiles, texts = build_env(spec, corpus)
@@ -511,10 +511,9 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
         profile, spk_texts = profiles[si], texts[si]
         n_texts = spk_texts.shape[0]
         if "rl" in variants and policy is not None:
-            eps = [run_episode(env, policy, profile, f_t, mode="mode")
-                   for f_t in spk_texts[:spec.eval_episodes]]
             for ei in range(spec.eval_episodes):
-                ep = eps[ei % n_texts]
+                f_t = spk_texts[ei % n_texts]
+                ep = run_episode(env, policy, profile, f_t, mode="mode")
                 rows.append(_score_row(spec, cfg, ei, profile.speaker_id, "rl",
                                        ep["final_triple"], ep["final_fused"]))
         for ti in range(n_texts):
