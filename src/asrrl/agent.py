@@ -65,15 +65,15 @@ class PolicyNetwork:
         H = self.hidden
         p: dict[str, np.ndarray] = {}
         if encoder == "segments":
-            self._segments = []  # (name, start, dim)
+            self._segments = []  # (weight key, bias key, start, dim)
             off = 0
             for name, dim in layout.segment_dims().items():
-                self._segments.append((name, off, dim))
+                self._segments.append((f"enc.{name}.W", f"enc.{name}.g", off, dim))
                 off += dim
-            for name, _, dim in self._segments:
                 p[f"enc.{name}.W"] = _xavier(rng, dim, H)
                 p[f"enc.{name}.g"] = 0.1 * rng.standard_normal(H)
-        else:
+        else:  # one token over the whole state
+            self._segments = [("enc.W", "enc.b", 0, self.state_dim)]
             p["enc.W"] = _xavier(rng, self.state_dim, H)
             p["enc.b"] = np.zeros(H)
         p["trunk.W"] = _xavier(rng, H, H)
@@ -85,34 +85,53 @@ class PolicyNetwork:
         p["value.W"] = _xavier(rng, H, 1)
         p["value.b"] = np.zeros(1)
         p["log_std"] = np.full(self.action_dim, LOG_STD_INIT)
-        self.params = p
+        ends = np.cumsum([v.size for v in p.values()])
+        self._slices = [(k, slice(e - v.size, e), v.shape)
+                        for (k, v), e in zip(p.items(), ends)]
+        self.flat = np.concatenate([v.ravel() for v in p.values()])
+        self.params = self.views(self.flat)
+        # (rows, hidden) slabs: h1, h2, two backward temporaries, one token
+        # per segment; forward grows it to the most rows seen
+        self._work = np.empty((4 + len(self._segments), 0, H))
 
     def parameter_count(self) -> int:
-        return sum(v.size for v in self.params.values())
+        return self.flat.size
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views into a vector laid out like self.flat."""
+        return {k: flat[sl].reshape(shape) for k, sl, shape in self._slices}
 
     # -- forward / backward ------------------------------------------------
     def forward(self, states: np.ndarray):
-        """Batched forward pass. Returns (mean, log_std, value, cache)."""
+        """Batched forward pass. Returns (mean, log_std, value, cache); the
+        cache is valid until the next forward call."""
         X = np.atleast_2d(np.asarray(states, dtype=np.float64))
         if X.shape[1] != self.state_dim:
             raise ValueError(
                 f"state length {X.shape[1]} does not match layout size {self.state_dim}"
             )
         p = self.params
-        cache = {"X": X}
-        if self.encoder == "segments":
-            tokens = []
-            for name, off, dim in self._segments:
-                t = np.tanh(X[:, off:off + dim] @ p[f"enc.{name}.W"] + p[f"enc.{name}.g"])
-                tokens.append(t)
-            cache["tokens"] = tokens
-            h1 = sum(tokens) / len(tokens)
-        else:
-            h1 = np.tanh(X @ p["enc.W"] + p["enc.b"])
-            cache["h1_act"] = h1
-        cache["h1"] = h1
-        h2 = np.tanh(h1 @ p["trunk.W"] + p["trunk.b"])
-        cache["h2"] = h2
+        if self._work.shape[1] < len(X):
+            self._work = np.empty((self._work.shape[0], len(X), self.hidden))
+        h1, h2, d1, d2, *slabs = self._work[:, :len(X)]
+        tokens = []
+        for (W, g, off, dim), t in zip(self._segments, slabs):
+            if W == "enc.sep.W":
+                # the sep column is always SEP_VALUE = 0, so its token is
+                # tanh(g) in every row and enc.sep.W is never used
+                t = np.tanh(p[g])
+            else:
+                np.matmul(X[:, off:off + dim], p[W], out=t)
+                t += p[g]
+                np.tanh(t, out=t)
+            tokens.append(t)
+        np.copyto(h1, tokens[0])
+        for t in tokens[1:]:
+            h1 += t
+        h1 /= len(tokens)
+        np.matmul(h1, p["trunk.W"], out=h2)
+        h2 += p["trunk.b"]
+        np.tanh(h2, out=h2)
         mean = h2 @ p["mean.W"] + p["mean.b"]
         value = (h2 @ p["value.W"] + p["value.b"]).ravel()
         log_std = np.clip(p["log_std"], LOG_STD_MIN, LOG_STD_MAX)
@@ -121,34 +140,39 @@ class PolicyNetwork:
             raise FloatingPointError(
                 f"non-finite network output; parameter norms: {norms}"
             )
-        return mean, log_std, value, cache
+        return mean, log_std, value, {"X": X, "tokens": tokens, "h1": h1, "h2": h2,
+                                      "tmp": (d1, d2)}
 
-    def backward(self, cache, dmean: np.ndarray, dvalue: np.ndarray) -> dict[str, np.ndarray]:
-        """Gradients of a scalar loss given dloss/dmean and dloss/dvalue."""
+    def backward(self, cache, dmean: np.ndarray, dvalue: np.ndarray) -> np.ndarray:
+        """Gradient of a scalar loss given dloss/dmean and dloss/dvalue, as
+        a new vector laid out like self.flat; the log_std entries are 0."""
         p = self.params
-        h2, h1, X = cache["h2"], cache["h1"], cache["X"]
-        grads: dict[str, np.ndarray] = {}
-        grads["mean.W"] = h2.T @ dmean
-        grads["mean.b"] = dmean.sum(axis=0)
+        h2, h1, X, (d1, d2) = cache["h2"], cache["h1"], cache["X"], cache["tmp"]
+        flat = np.zeros(self.flat.size)
+        grads = self.views(flat)
+        np.matmul(h2.T, dmean, out=grads["mean.W"])
+        dmean.sum(axis=0, out=grads["mean.b"])
         dv = dvalue.reshape(-1, 1)
-        grads["value.W"] = h2.T @ dv
-        grads["value.b"] = dv.sum(axis=0)
-        dh2 = dmean @ p["mean.W"].T + dv @ p["value.W"].T
-        da2 = dh2 * (1.0 - h2 * h2)
-        grads["trunk.W"] = h1.T @ da2
-        grads["trunk.b"] = da2.sum(axis=0)
-        dh1 = da2 @ p["trunk.W"].T
-        if self.encoder == "segments":
-            m = len(self._segments)
-            for (name, off, dim), t in zip(self._segments, cache["tokens"]):
-                da = (dh1 / m) * (1.0 - t * t)
-                grads[f"enc.{name}.W"] = X[:, off:off + dim].T @ da
-                grads[f"enc.{name}.g"] = da.sum(axis=0)
-        else:
-            da1 = dh1 * (1.0 - cache["h1_act"] ** 2)
-            grads["enc.W"] = X.T @ da1
-            grads["enc.b"] = da1.sum(axis=0)
-        return grads
+        np.matmul(h2.T, dv, out=grads["value.W"])
+        dv.sum(axis=0, out=grads["value.b"])
+        np.matmul(dmean, p["mean.W"].T, out=d1)
+        np.matmul(dv, p["value.W"].T, out=d2)
+        d1 += d2  # dh2
+        np.multiply(h2, h2, out=d2)
+        np.subtract(1.0, d2, out=d2)
+        d1 *= d2  # da2
+        np.matmul(h1.T, d1, out=grads["trunk.W"])
+        d1.sum(axis=0, out=grads["trunk.b"])
+        np.matmul(d1, p["trunk.W"].T, out=d2)  # dh1
+        d2 /= len(self._segments)
+        for (W, g, off, dim), t in zip(self._segments, cache["tokens"]):
+            np.multiply(t, t, out=d1)
+            np.subtract(1.0, d1, out=d1)
+            d1 *= d2
+            if W != "enc.sep.W":
+                np.matmul(X[:, off:off + dim].T, d1, out=grads[W])
+            d1.sum(axis=0, out=grads[g])
+        return flat
 
 
 def gaussian_log_prob(raw: np.ndarray, mean: np.ndarray, log_std: np.ndarray) -> np.ndarray:
@@ -250,24 +274,23 @@ class RolloutBatch:
 
 
 class Adam:
-    """Plain Adam over a parameter dict, with the standard constants."""
+    """Plain Adam over one flat parameter vector, with the standard constants."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float):
+    def __init__(self, params: np.ndarray, lr: float):
         self.lr = lr
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self.t = 0
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
+    def step(self, params: np.ndarray, grads: np.ndarray):
         self.t += 1
         bc1 = 1.0 - self.BETA1 ** self.t
         bc2 = 1.0 - self.BETA2 ** self.t
-        for k, g in grads.items():
-            self.m[k] = self.BETA1 * self.m[k] + (1 - self.BETA1) * g
-            self.v[k] = self.BETA2 * self.v[k] + (1 - self.BETA2) * g * g
-            params[k] -= self.lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + self.EPS)
+        self.m = self.BETA1 * self.m + (1 - self.BETA1) * grads
+        self.v = self.BETA2 * self.v + (1 - self.BETA2) * grads * grads
+        params -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.EPS)
 
 
 def ppo_loss_and_grads(policy: PolicyNetwork, batch: RolloutBatch, *,
@@ -276,8 +299,14 @@ def ppo_loss_and_grads(policy: PolicyNetwork, batch: RolloutBatch, *,
 
     Returns (loss scalar, grads dict, report dict). The loss is the
     minimized quantity: -surrogate + value_coef * value MSE
-    - entropy_coef * entropy.
+    - entropy_coef * entropy. The grads are views into a new flat vector.
     """
+    loss, grads, report = _ppo_pass(policy, batch, clip_epsilon, value_coef, entropy_coef)
+    return loss, policy.views(grads), report
+
+
+def _ppo_pass(policy, batch, clip_epsilon, value_coef, entropy_coef):
+    """ppo_loss_and_grads with the gradient laid out like policy.flat."""
     if batch.advantages is None:
         raise ValueError("batch advantages not computed")
     if clip_epsilon <= 0:
@@ -312,7 +341,7 @@ def ppo_loss_and_grads(policy: PolicyNetwork, batch: RolloutBatch, *,
     g_log_std -= entropy_coef  # entropy term, per dimension
     dvalue = value_coef * 2.0 * v_err / n
     grads = policy.backward(cache, dmean, dvalue)
-    grads["log_std"] = g_log_std
+    grads[-policy.action_dim:] = g_log_std  # log_std is the last parameter
     report = {
         "loss": float(loss),
         "policy_loss": float(policy_loss),
@@ -331,14 +360,11 @@ def ppo_update(policy: PolicyNetwork, batch: RolloutBatch, *,
     """Run update_epochs full-batch gradient steps; returns the last report."""
     if update_epochs < 1:
         raise ValueError("update_epochs must be >= 1")
-    opt = optimizer or Adam(policy.params, learning_rate)
+    opt = optimizer or Adam(policy.flat, learning_rate)
     report = {}
     for _ in range(update_epochs):
-        _, grads, report = ppo_loss_and_grads(
-            policy, batch, clip_epsilon=clip_epsilon,
-            value_coef=value_coef, entropy_coef=entropy_coef,
-        )
-        opt.step(policy.params, grads)
+        _, grads, report = _ppo_pass(policy, batch, clip_epsilon, value_coef, entropy_coef)
+        opt.step(policy.flat, grads)
         np.clip(policy.params["log_std"], LOG_STD_MIN, LOG_STD_MAX,
                 out=policy.params["log_std"])
     return report
@@ -379,12 +405,13 @@ def save_checkpoint(policy: PolicyNetwork, path, *, config: RLConfig,
         "step": int(step),
         "rng": _rng_to_hex(rng),
         "params": {
-            name: {"shape": list(arr.shape), "data": [float(x) for x in arr.ravel()]}
+            name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
             for name, arr in policy.params.items()
         },
     }
     with replace_on_success(path) as fh:
-        json.dump(doc, fh)  # json emits shortest round-trip decimals
+        # shortest round-trip decimals; dumps, unlike dump, is C-encoded
+        fh.write(json.dumps(doc))
 
 
 def load_checkpoint(path) -> tuple[PolicyNetwork, RLConfig, int, np.random.Generator | None]:
@@ -437,7 +464,7 @@ def load_checkpoint(path) -> tuple[PolicyNetwork, RLConfig, int, np.random.Gener
                 f"parameter {name!r} has shape {shape} with {data.size} values, "
                 f"expected shape {arr.shape}"
             )
-        policy.params[name] = data.reshape(shape)
+        arr[...] = data.reshape(shape)
     try:
         step, rng = int(doc["step"]), _rng_from_hex(doc.get("rng", ""))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -391,7 +391,7 @@ def train(spec: ExperimentSpec, corpus: Corpus | None = None, *,
         encoder=cfg.encoder, rng=substream(cfg.seed, "policy-init"),
     )
     rng = substream(cfg.seed, "rollout")
-    opt = Adam(policy.params, cfg.learning_rate)
+    opt = Adam(policy.flat, cfg.learning_rate)
     steps = spec.step_budget
     # every episode takes exactly `steps` steps
     n_episodes = -(-cfg.rollout_batch // steps)

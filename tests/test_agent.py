@@ -1,11 +1,15 @@
 """Policy network, GAE, PPO updates, and checkpointing."""
 
+import io
 import json
+from contextlib import contextmanager
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from asrrl import agent
 from asrrl.agent import (
     Adam,
     CheckpointError,
@@ -23,6 +27,8 @@ from asrrl.agent import (
     tanh_correction,
 )
 from asrrl.core import RLConfig, SSAction, StateLayout
+from asrrl.harness import ExperimentSpec, gen_corpus, train
+from asrrl.seeding import substream
 
 
 def _policy(scenario="ss", encoder="segments", hidden=4, d_t=2, d_e=2, k=2,
@@ -229,11 +235,99 @@ def test_advantage_normalization():
 
 
 def test_adam_first_step_size_is_lr():
-    params = {"x": np.array([1.0])}
+    params = np.array([1.0, -2.0])
     opt = Adam(params, lr=0.05)
-    opt.step(params, {"x": np.array([3.7])})
+    opt.step(params, np.array([3.7, -0.002]))
     # bias-corrected first step moves by ~lr regardless of gradient scale
-    assert params["x"][0] == pytest.approx(1.0 - 0.05, abs=1e-6)
+    np.testing.assert_allclose(params, [1.0 - 0.05, -2.0 + 0.05], atol=1e-6)
+
+
+class _PerKeyAdam:
+    """Adam as one update per parameter array, the reference for the flat one."""
+
+    def __init__(self, params, lr):
+        self.lr, self.t = lr, 0
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def step(self, params, grads):
+        self.t += 1
+        bc1 = 1.0 - Adam.BETA1 ** self.t
+        bc2 = 1.0 - Adam.BETA2 ** self.t
+        for k, g in grads.items():
+            self.m[k] = Adam.BETA1 * self.m[k] + (1 - Adam.BETA1) * g
+            self.v[k] = Adam.BETA2 * self.v[k] + (1 - Adam.BETA2) * g * g
+            params[k] -= self.lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + Adam.EPS)
+
+
+def test_flat_adam_bit_equal_to_per_key_adam():
+    policy = _policy("ss", hidden=8)
+    ref = {k: v.copy() for k, v in policy.params.items()}
+    flat_opt, ref_opt = Adam(policy.flat, 3e-3), _PerKeyAdam(ref, 3e-3)
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        g = rng.standard_normal(policy.flat.size) * rng.choice([1e-6, 1.0, 1e3])
+        flat_opt.step(policy.flat, g)
+        ref_opt.step(ref, {k: v.copy() for k, v in policy.views(g).items()})
+    for k, v in ref.items():
+        assert policy.params[k].tobytes() == v.tobytes(), k
+
+
+def test_ppo_grads_survive_later_calls():
+    policy = _policy("ss")
+    batch = _batch(policy)
+    kw = dict(clip_epsilon=0.2, value_coef=0.5, entropy_coef=0.01)
+    _, grads, _ = ppo_loss_and_grads(policy, batch, **kw)
+    kept = {k: v.copy() for k, v in grads.items()}
+    policy.flat += 1e-3 * np.random.default_rng(1).standard_normal(policy.flat.size)
+    _, again, _ = ppo_loss_and_grads(policy, batch, **kw)
+    assert not np.array_equal(again["mean.W"], kept["mean.W"])
+    for k, v in kept.items():
+        np.testing.assert_array_equal(grads[k], v)
+
+
+@pytest.mark.parametrize("encoder", ["segments", "mlp"])
+def test_forward_bit_equal_across_batch_sizes(encoder):
+    six_segments = StateLayout(d_t=3, d_e=2, d_v=4, include_f_rv=True,
+                               include_e_s=True, include_f_sv=True)
+
+    def make():
+        return PolicyNetwork(six_segments, "ss", hidden=16, encoder=encoder,
+                             rng=np.random.default_rng(3))
+
+    policy = make()
+    rng = np.random.default_rng(4)
+    for n in (1, 258, 86, 1, 258):
+        X = rng.standard_normal((n, policy.state_dim))
+        got, want = policy.forward(X), make().forward(X)
+        for a, b in zip(got[:3], want[:3]):
+            assert a.tobytes() == b.tobytes()
+
+
+def _reference_forward(policy, X):
+    """The forward pass over per-row tokens, sep included, as tanh(X_seg @ W + g)."""
+    p = policy.params
+    tokens = [np.tanh(X[:, off:off + dim] @ p[W] + p[g])
+              for W, g, off, dim in policy._segments]
+    h2 = np.tanh(sum(tokens) / len(tokens) @ p["trunk.W"] + p["trunk.b"])
+    return h2 @ p["mean.W"] + p["mean.b"], (h2 @ p["value.W"] + p["value.b"]).ravel()
+
+
+def test_sep_weight_never_trained_and_forward_matches_per_row_sep(tmp_path):
+    corpus = gen_corpus(11, 50, 1, 16, 8, 4, tmp_path / "c.tsv", sigma_ref=0.05)
+    cfg = RLConfig(d_e=16, d_t=8, k=1, seed=0, train_iters=3)
+    spec = ExperimentSpec(config=cfg, scenario="ss", out_dir=tmp_path, run_id="r")
+    policy, _ = train(spec, corpus, write_outputs=False)
+    init = PolicyNetwork(policy.layout, "ss", hidden=cfg.hidden,
+                         rng=substream(0, "policy-init"))
+    assert policy.params["enc.sep.W"].tobytes() == init.params["enc.sep.W"].tobytes()
+    assert policy.params["enc.sep.g"].tobytes() != init.params["enc.sep.g"].tobytes()
+    rng = np.random.default_rng(6)
+    X = policy.layout.flatten(rng.standard_normal((40, 8)), rng.standard_normal((40, 16)))
+    mean, _, value, _ = policy.forward(X)
+    ref_mean, ref_value = _reference_forward(policy, X)
+    assert mean.tobytes() == ref_mean.tobytes()
+    assert value.tobytes() == ref_value.tobytes()
 
 
 # -- checkpoints -----------------------------------------------------------
@@ -249,6 +343,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert step == 123 and cfg.hidden == 8
     for name, arr in policy.params.items():
         np.testing.assert_array_equal(loaded.params[name], arr)
+        assert np.shares_memory(loaded.params[name], loaded.flat)
     np.testing.assert_array_equal(rng2.standard_normal(8),
                                   rng.standard_normal(8))
     states = np.random.default_rng(1).standard_normal((100, policy.state_dim))
@@ -256,6 +351,24 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         a1, _, _, _ = select_action(policy, s, mode="mode")
         a2, _, _, _ = select_action(loaded, s, mode="mode")
         np.testing.assert_array_equal(a1.delta, a2.delta)
+    before = loaded.params["trunk.W"].copy()
+    ppo_update(loaded, _batch(loaded), update_epochs=2, learning_rate=1e-2)
+    assert not np.array_equal(loaded.params["trunk.W"], before)
+
+
+def test_checkpoint_bytes_equal_json_dump_encoding(tmp_path):
+    policy = _policy("ss", hidden=8)
+    ppo_update(policy, _batch(policy), update_epochs=3, learning_rate=1e-2)
+    config = RLConfig(d_e=2, d_t=2, hidden=8)
+    path = tmp_path / "ck.json"
+    save_checkpoint(policy, path, config=config, step=9)
+    cfg = {**asdict(config), "scenario": "ss", "layout": asdict(policy.layout)}
+    doc = {"version": 1, "config": cfg, "step": 9, "rng": "", "params": {
+        name: {"shape": list(arr.shape), "data": [float(x) for x in arr.ravel()]}
+        for name, arr in policy.params.items()}}
+    buf = io.StringIO()
+    json.dump(doc, buf)
+    assert path.read_bytes() == buf.getvalue().encode("utf-8")
 
 
 def test_checkpoint_truncated_file_reports_offset(tmp_path):
@@ -297,11 +410,18 @@ def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
     save_checkpoint(policy, path, config=RLConfig(d_e=2, d_t=2), step=1)
     before = path.read_bytes()
 
-    def failing_dump(doc, fh):
-        fh.write('{"version": 1, "config": {"d_e"')
-        raise OSError("disk full")
+    real = agent.replace_on_success
 
-    monkeypatch.setattr(json, "dump", failing_dump)
+    @contextmanager
+    def half_write(target):
+        with real(target) as fh:
+            class DiskFull:  # writes half the document, then fails
+                def write(self, text):
+                    fh.write(text[: len(text) // 2])
+                    raise OSError("disk full")
+            yield DiskFull()
+
+    monkeypatch.setattr(agent, "replace_on_success", half_write)
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(policy, path, config=RLConfig(d_e=2, d_t=2), step=2)
     assert path.read_bytes() == before
