@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -291,14 +290,14 @@ def build_env(spec: ExperimentSpec, corpus: Corpus | None):
 
 # -- training --------------------------------------------------------------
 
-def _score_row(spec, cfg, episode, speaker, variant, triple, fused):
+def _score_row(spec, cfg, episode, speaker, variant, sim, mos, intell, fused):
     """One RUN_COLUMNS row of a train or evaluation run."""
     return {
         "run_id": spec.run_id, "scenario": spec.scenario, "gamma": cfg.gamma,
         "action_scale": cfg.action_scale, "steps": spec.step_budget,
         "seed": cfg.seed, "episode": episode, "speaker": speaker,
-        "variant": variant, "sim": float(triple.sim), "mos": float(triple.mos),
-        "intell": float(triple.intell), "fused": float(fused),
+        "variant": variant, "sim": float(sim), "mos": float(mos),
+        "intell": float(intell), "fused": float(fused),
     }
 
 
@@ -410,22 +409,21 @@ def train(spec: ExperimentSpec, corpus: Corpus | None = None, *,
         eps = run_episodes(env, policy, [profiles[si] for si in picks],
                            np.array(F), np.array(noise))
         init, final, scores = eps["initial_fused"], eps["final_fused"], eps["final_scores"]
-        for i, si in enumerate(picks):
-            triple = SimpleNamespace(sim=scores.sim[i], mos=scores.mos[i],
-                                     intell=scores.intell[i])
+        diverged = final < init - 0.5 * np.abs(init)
+        for si, sim, mos, intell, sc, sc0, bad in zip(
+                picks, scores.sim.tolist(), scores.mos.tolist(),
+                scores.intell.tolist(), final.tolist(), init.tolist(),
+                diverged.tolist()):
             rows.append(_score_row(spec, cfg, episode, profiles[si].speaker_id,
-                                   "rl", triple, final[i]))
+                                   "rl", sim, mos, intell, sc))
             episode += 1
-            if final[i] < init[i] - 0.5 * abs(init[i]):
-                diverged_streak += 1
-                if diverged_streak >= 100:
-                    raise DivergenceError(
-                        f"fused score below half the raw baseline for "
-                        f"{diverged_streak} consecutive episodes "
-                        f"(last: {final[i]:.4f} vs raw {init[i]:.4f})"
-                    )
-            else:
-                diverged_streak = 0
+            diverged_streak = diverged_streak + 1 if bad else 0
+            if diverged_streak >= 100:
+                raise DivergenceError(
+                    f"fused score below half the raw baseline for "
+                    f"{diverged_streak} consecutive episodes "
+                    f"(last: {sc:.4f} vs raw {sc0:.4f})"
+                )
         # episode-major rows, the order of one-at-a-time play
         batch = RolloutBatch(*(
             eps[k].reshape(-1, *eps[k].shape[2:])
@@ -514,14 +512,17 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
             for ei in range(spec.eval_episodes):
                 f_t = spk_texts[ei % n_texts]
                 ep = run_episode(env, policy, profile, f_t, mode="mode")
+                triple = ep["final_triple"]
                 rows.append(_score_row(spec, cfg, ei, profile.speaker_id, "rl",
-                                       ep["final_triple"], ep["final_fused"]))
+                                       triple.sim, triple.mos, triple.intell,
+                                       ep["final_fused"]))
         for ti in range(n_texts):
             f_t = spk_texts[ti]
             if "raw" in variants:
                 triple = env.score_state(f_t, mean_init(profile.refs), profile)
                 rows.append(_score_row(spec, cfg, ti, profile.speaker_id, "raw",
-                                       triple, fuse_scores(triple, spec.weights)))
+                                       triple.sim, triple.mos, triple.intell,
+                                       fuse_scores(triple, spec.weights)))
             if "oracle" in variants:
                 margin = (spec.step_budget * cfg.action_scale
                           + 4.0 * getattr(env, "sigma_ref", 0.0)
@@ -531,7 +532,8 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
                                         points=ORACLE_GRID_POINTS)
                 triple = env.score_state(f_t, e_best, profile)
                 rows.append(_score_row(spec, cfg, ti, profile.speaker_id,
-                                       "oracle", triple,
+                                       "oracle", triple.sim, triple.mos,
+                                       triple.intell,
                                        fuse_scores(triple, spec.weights)))
     return EvalResult(rows)
 

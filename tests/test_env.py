@@ -5,6 +5,7 @@ import pytest
 
 from asrrl.core import FSAction, SSAction, StateLayout
 from asrrl.env import (
+    ORACLE_BLOCK_ROWS,
     EpisodeError,
     SpeakerProfile,
     SyntheticVoiceEnv,
@@ -45,6 +46,21 @@ def test_synth_rejects_wrong_shapes():
         env.synth(np.zeros(2), np.zeros(4))
     with pytest.raises(ValueError):
         env.synth(np.zeros(3), np.zeros(5))
+
+
+@pytest.mark.parametrize("f_rows,e_rows", [(None, None), (None, 5), (5, 5), (5, None)])
+def test_synth_is_the_allocating_formula_bitwise_and_leaves_inputs(f_rows, e_rows):
+    env = _env(seed=4)
+    rng = substream(4, "synth")
+    f_t = rng.standard_normal((f_rows, 3) if f_rows else 3)
+    e = rng.standard_normal((e_rows, 4) if e_rows else 4)
+    f_copy, e_copy = f_t.copy(), e.copy()
+    f_t.flags.writeable = e.flags.writeable = False
+    got = env.synth(f_t, e)
+    want = np.tanh(f_t @ env.W1.T + e @ env.W2.T + env.b)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert f_t.tobytes() == f_copy.tobytes() and e.tobytes() == e_copy.tobytes()
+    assert not np.shares_memory(got, f_t) and not np.shares_memory(got, e)
 
 
 def test_target_voiceprint_is_calibration_synthesis():
@@ -349,6 +365,16 @@ def test_oracle_rejects_empty_and_oversized_grids():
         oracle_best(env, p, env.f_t_cal, (-1.0, 1.0, 0))
     with pytest.raises(ValueError, match="16000000"):
         oracle_best(env, p, env.f_t_cal, (-1.0, 1.0, 4000))
+    bad = [((0.5, -0.5, 11), "bounds"), ((0.0, np.nan, 11), "bounds"),
+           ((-np.inf, 1.0, 11), "bounds"), ((0.0, 1.0, 2.7), "points"),
+           ((0.0, 1.0, np.nan), "points"), ((0.0, 1.0, np.inf), "points"),
+           ((0.0, 1.0, -3), "points")]
+    for spec, what in bad:
+        with pytest.raises(ValueError, match=f"grid dimension 1: {what}"):
+            oracle_best(env, p, env.f_t_cal, [(-1.0, 1.0, 3), spec])
+    # an integral float point count is a count
+    assert oracle_best(env, p, env.f_t_cal, (-1.0, 1.0, 3.0))[1] == \
+        oracle_best(env, p, env.f_t_cal, (-1.0, 1.0, 3))[1]
 
 
 def test_oracle_dominates_raw_reference():
@@ -371,7 +397,8 @@ def test_oracle_chunks_match_one_meshgrid_argmax_and_ties_go_first():
     axis = np.linspace(-lim, lim, 501)
     mesh = np.meshgrid(axis, axis, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
-    assert len(points) > 200_000  # spans two chunks
+    # at least three whole blocks and a ragged tail
+    assert len(points) >= 3 * ORACLE_BLOCK_ROWS and len(points) % ORACLE_BLOCK_ROWS
     want = env.fused_batch(env.f_t_cal, points, p)
     i = int(np.argmax(want))
     assert e_best.tobytes() == points[i].tobytes() and sc == want[i]
@@ -380,6 +407,15 @@ def test_oracle_chunks_match_one_meshgrid_argmax_and_ties_go_first():
     tp = tenv.make_profile(0, substream(0, "s"), k=1)
     e_best, _ = oracle_best(tenv, tp, np.zeros(2), [(-1.0, 1.0, 41), (-0.5, 0.5, 11)])
     assert e_best[1] == -0.5
+    # 1,001 tied rows per axis-0 value: first wins both when the optimum's
+    # rows sit inside one block and when they straddle two
+    straddles = []
+    for lo, hi in ((-1.0, 1.0), (-0.6, 0.4)):
+        e_best, _ = oracle_best(tenv, tp, np.zeros(2), [(lo, hi, 41), (-0.5, 0.5, 1001)])
+        assert e_best[1] == -0.5
+        first = 1001 * int(np.flatnonzero(np.linspace(lo, hi, 41) == e_best[0])[0])
+        straddles.append(first // ORACLE_BLOCK_ROWS != (first + 1000) // ORACLE_BLOCK_ROWS)
+    assert straddles == [False, True]
 
 
 def test_oracle_zoom_refines_monotonically():
