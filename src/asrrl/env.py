@@ -309,13 +309,14 @@ class SyntheticVoiceEnv(_EnvBase):
             raise ValueError(f"f_t has shape {f_t.shape}, expected ({self.d_t},)")
         if e.shape[-1:] != (self.d_e,) or e.ndim > 2:
             raise ValueError(f"e has shape {e.shape}, expected ({self.d_e},)")
-        # x @ M.T is bit-equal to M @ x for a vector x
-        if f_t.ndim > e.ndim:  # (N, d_t) text rows, one embedding
-            return np.tanh(f_t @ self.W1.T + e @ self.W2.T + self.b)
-        # in place, one (N, d_s) array; IEEE addition commutes, so this is
-        # bit-equal to the sum above
-        x = e @ self.W2.T
-        x += f_t @ self.W1.T
+        # x @ M.T is bit-equal to M @ x for a vector x. The sum is built in
+        # place in whichever product already has the output shape: IEEE
+        # addition commutes, so this is tanh((A + B) + b) bit for bit, with
+        # one (N, d_s) array; more per oracle block cost page faults (README)
+        a, x = f_t @ self.W1.T, e @ self.W2.T
+        if a.ndim > x.ndim or a.size > x.size:
+            a, x = x, a
+        x += a
         x += self.b
         return np.tanh(x, out=x)
 
@@ -416,10 +417,11 @@ class TradeoffEnv(_EnvBase):
 
 
 MAX_GRID_POINTS = 10_000_000
-# oracle_best scores the grid in blocks of this many rows: each (rows, d_s)
-# float64 temporary is then 4 MB, stays in cache and is reused by the
-# allocator instead of being faulted in afresh; 200,000-row blocks took
-# 1.5x the time of a 128^3 grid (README)
+# oracle_best scores the grid in blocks of this many rows: at d_s=32 each
+# (rows, d_s) float64 temporary is then 4 MB (plug-in scorers add a synth
+# of the whole block), stays in cache and is reused by the allocator
+# instead of being faulted in afresh; 200,000-row blocks took 1.5x the
+# time of a 128^3 grid (README)
 ORACLE_BLOCK_ROWS = 16_384
 
 

@@ -290,14 +290,15 @@ def build_env(spec: ExperimentSpec, corpus: Corpus | None):
 
 # -- training --------------------------------------------------------------
 
-def _score_row(spec, cfg, episode, speaker, variant, sim, mos, intell, fused):
-    """One RUN_COLUMNS row of a train or evaluation run."""
+def _score_row(spec, cfg, episode, speaker, variant, triple, fused):
+    """One RUN_COLUMNS row of a train or evaluation run; triple is a
+    ScoreTriple or a (sim, mos, intell) tuple."""
     return {
         "run_id": spec.run_id, "scenario": spec.scenario, "gamma": cfg.gamma,
         "action_scale": cfg.action_scale, "steps": spec.step_budget,
         "seed": cfg.seed, "episode": episode, "speaker": speaker,
-        "variant": variant, "sim": float(sim), "mos": float(mos),
-        "intell": float(intell), "fused": float(fused),
+        "variant": variant, "sim": float(triple[0]), "mos": float(triple[1]),
+        "intell": float(triple[2]), "fused": float(fused),
     }
 
 
@@ -410,12 +411,11 @@ def train(spec: ExperimentSpec, corpus: Corpus | None = None, *,
                            np.array(F), np.array(noise))
         init, final, scores = eps["initial_fused"], eps["final_fused"], eps["final_scores"]
         diverged = final < init - 0.5 * np.abs(init)
-        for si, sim, mos, intell, sc, sc0, bad in zip(
-                picks, scores.sim.tolist(), scores.mos.tolist(),
-                scores.intell.tolist(), final.tolist(), init.tolist(),
-                diverged.tolist()):
+        triples = zip(scores.sim.tolist(), scores.mos.tolist(), scores.intell.tolist())
+        for si, triple, sc, sc0, bad in zip(picks, triples, final.tolist(),
+                                            init.tolist(), diverged.tolist()):
             rows.append(_score_row(spec, cfg, episode, profiles[si].speaker_id,
-                                   "rl", sim, mos, intell, sc))
+                                   "rl", triple, sc))
             episode += 1
             diverged_streak = diverged_streak + 1 if bad else 0
             if diverged_streak >= 100:
@@ -512,17 +512,14 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
             for ei in range(spec.eval_episodes):
                 f_t = spk_texts[ei % n_texts]
                 ep = run_episode(env, policy, profile, f_t, mode="mode")
-                triple = ep["final_triple"]
                 rows.append(_score_row(spec, cfg, ei, profile.speaker_id, "rl",
-                                       triple.sim, triple.mos, triple.intell,
-                                       ep["final_fused"]))
+                                       ep["final_triple"], ep["final_fused"]))
         for ti in range(n_texts):
             f_t = spk_texts[ti]
             if "raw" in variants:
                 triple = env.score_state(f_t, mean_init(profile.refs), profile)
                 rows.append(_score_row(spec, cfg, ti, profile.speaker_id, "raw",
-                                       triple.sim, triple.mos, triple.intell,
-                                       fuse_scores(triple, spec.weights)))
+                                       triple, fuse_scores(triple, spec.weights)))
             if "oracle" in variants:
                 margin = (spec.step_budget * cfg.action_scale
                           + 4.0 * getattr(env, "sigma_ref", 0.0)
@@ -532,8 +529,7 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
                                         points=ORACLE_GRID_POINTS)
                 triple = env.score_state(f_t, e_best, profile)
                 rows.append(_score_row(spec, cfg, ti, profile.speaker_id,
-                                       "oracle", triple.sim, triple.mos,
-                                       triple.intell,
+                                       "oracle", triple,
                                        fuse_scores(triple, spec.weights)))
     return EvalResult(rows)
 

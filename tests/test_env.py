@@ -48,7 +48,8 @@ def test_synth_rejects_wrong_shapes():
         env.synth(np.zeros(3), np.zeros(5))
 
 
-@pytest.mark.parametrize("f_rows,e_rows", [(None, None), (None, 5), (5, 5), (5, None)])
+@pytest.mark.parametrize("f_rows,e_rows", [(None, None), (None, 5), (5, 5), (5, None),
+                                           (5, 1), (1, 5)])
 def test_synth_is_the_allocating_formula_bitwise_and_leaves_inputs(f_rows, e_rows):
     env = _env(seed=4)
     rng = substream(4, "synth")

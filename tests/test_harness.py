@@ -417,10 +417,8 @@ def test_evaluate_rows_match_one_at_a_time_play(tmp_path, eval_episodes,
         for ei in range(eval_episodes):
             ep = harness.run_episode(env, policy, profiles[si],
                                      texts[si][ei % n_texts], mode="mode")
-            t = ep["final_triple"]
             want.append(harness._score_row(spec, cfg, ei, profiles[si].speaker_id,
-                                           "rl", t.sim, t.mos, t.intell,
-                                           ep["final_fused"]))
+                                           "rl", ep["final_triple"], ep["final_fused"]))
     rows = evaluate(policy, spec, corpus, variants=("rl",)).rows
     assert rows == want
     assert len({r["fused"] for r in rows}) > 1
