@@ -105,7 +105,7 @@ class PolicyNetwork:
     def forward(self, states: np.ndarray):
         """Batched forward pass. Returns (mean, log_std, value, cache); the
         cache is valid until the next forward call."""
-        X = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        X = np.array(states, dtype=np.float64, copy=None, ndmin=2)
         if X.shape[1] != self.state_dim:
             raise ValueError(
                 f"state length {X.shape[1]} does not match layout size {self.state_dim}"
@@ -132,10 +132,11 @@ class PolicyNetwork:
         np.matmul(h1, p["trunk.W"], out=h2)
         h2 += p["trunk.b"]
         np.tanh(h2, out=h2)
-        mean = h2 @ p["mean.W"] + p["mean.b"]
-        value = (h2 @ p["value.W"] + p["value.b"]).ravel()
-        log_std = np.clip(p["log_std"], LOG_STD_MIN, LOG_STD_MAX)
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(value))):
+        # .dot is @, and maximum-then-minimum is np.clip, with less call overhead
+        mean = h2.dot(p["mean.W"]) + p["mean.b"]
+        value = (h2.dot(p["value.W"]) + p["value.b"]).ravel()
+        log_std = np.minimum(np.maximum(p["log_std"], LOG_STD_MIN), LOG_STD_MAX)
+        if not (np.isfinite(mean).all() and np.isfinite(value).all()):
             norms = {k: float(np.linalg.norm(v)) for k, v in p.items()}
             raise FloatingPointError(
                 f"non-finite network output; parameter norms: {norms}"
@@ -177,17 +178,14 @@ class PolicyNetwork:
 
 def gaussian_log_prob(raw: np.ndarray, mean: np.ndarray, log_std: np.ndarray) -> np.ndarray:
     """Diagonal Gaussian log-density of raw samples, summed over dims."""
-    raw = np.atleast_2d(raw)
-    mean = np.atleast_2d(mean)
     z = (raw - mean) / np.exp(log_std)
-    return (-0.5 * z * z - log_std - 0.5 * LOG_2PI).sum(axis=1)
+    return (-0.5 * z * z - log_std - 0.5 * LOG_2PI).sum(axis=-1)
 
 
 def tanh_correction(raw: np.ndarray) -> np.ndarray:
     """Sum of log|d tanh(u)/du| per sample: the squash change of variables."""
-    raw = np.atleast_2d(raw)
     # log(1 - tanh(u)^2) = 2*(log 2 - u - softplus(-2u)), numerically stable
-    return (2.0 * (math.log(2.0) - raw - np.logaddexp(0.0, -2.0 * raw))).sum(axis=1)
+    return (2.0 * (math.log(2.0) - raw - np.logaddexp(0.0, -2.0 * raw))).sum(axis=-1)
 
 
 def action_log_prob(policy: PolicyNetwork, raw: np.ndarray, mean: np.ndarray,
@@ -212,10 +210,11 @@ def select_action(policy: PolicyNetwork, state: np.ndarray,
     if mode == "sample":
         if rng is None:
             raise ValueError("sampling requires an rng")
-        raw = mean[0] + np.exp(log_std) * rng.standard_normal(policy.action_dim)
+        raw = mean + np.exp(log_std) * rng.standard_normal(policy.action_dim)
     else:
-        raw = mean[0].copy()
+        raw = mean
     lp = float(action_log_prob(policy, raw, mean, log_std)[0])
+    raw = raw[0]
     if policy.scenario == "ss":
         action: Action = SSAction(np.tanh(raw))
     else:

@@ -22,7 +22,7 @@ def _as_vector(x, name: str, rows: bool = False) -> np.ndarray:
     if arr.ndim != 1 and not (rows and arr.ndim == 2):
         kind = "a 1-d vector or an (N, d) row batch" if rows else "a 1-d vector"
         raise ValueError(f"{name} must be {kind}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite components")
     return arr
 
@@ -84,21 +84,21 @@ class StateLayout:
         """
         provided = {"f_t": f_t, "e": e, "f_rv": f_rv, "e_s": e_s, "f_sv": f_sv}
         lead = np.shape(e)[:-1]
-        parts = []
-        for name, dim in self.segment_dims().items():
-            if name == "sep":
-                parts.append(np.full(lead + (1,), SEP_VALUE))
-                continue
-            seg = provided[name]
+        dims = self.segment_dims()
+        out = np.empty(lead + (sum(dims.values()),))
+        off = 0
+        for name, dim in dims.items():
+            seg = SEP_VALUE if name == "sep" else provided[name]
             if seg is None:
                 raise ValueError(f"segment {name} is enabled but was not provided")
-            seg = _as_vector(seg, name, rows=True)
-            if seg.shape[-1] != dim:
-                raise ValueError(
-                    f"segment {name} has length {seg.shape[-1]}, expected {dim}"
-                )
-            parts.append(seg)
-        return np.concatenate(parts, axis=-1)
+            if name != "sep":
+                seg = _as_vector(seg, name, rows=True)
+                if seg.shape != lead + (dim,):
+                    raise ValueError(f"segment {name} has shape {seg.shape}, "
+                                     f"expected {lead + (dim,)}")
+            out[..., off:off + dim] = seg
+            off += dim
+        return out
 
     def split(self, state: np.ndarray) -> dict[str, np.ndarray]:
         """Recover the segments of a flattened state. Exact inverse of flatten."""
@@ -151,7 +151,7 @@ def apply_ss(e: np.ndarray, delta: np.ndarray, action_scale: float) -> np.ndarra
         raise ValueError(f"delta has shape {delta.shape}, expected {e.shape}")
     if action_scale <= 0:
         raise ValueError(f"action_scale must be positive, got {action_scale}")
-    if np.max(np.abs(delta)) > 1.0 + 1e-12:
+    if np.abs(delta).max() > 1.0 + 1e-12:
         raise ValueError("delta components must lie in [-1, 1]")
     return e + action_scale * delta
 
@@ -178,7 +178,7 @@ def fuse_fs(
         raise ValueError(
             "refs must be a non-empty list of equal-dimension embeddings"
         )
-    if not np.all(np.isfinite(refs)):
+    if not np.isfinite(refs).all():
         raise ValueError("refs contain non-finite components")
     if logits.shape != refs.shape[:-1]:
         raise ValueError(
@@ -199,9 +199,10 @@ def mean_init(refs: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
         raise ValueError(
             "refs must be a non-empty list of equal-dimension embeddings"
         )
-    if not np.all(np.isfinite(refs)):
+    if not np.isfinite(refs).all():
         raise ValueError("refs contain non-finite components")
-    return refs.mean(axis=-2)
+    # the sum over the count is what refs.mean(axis=-2) computes
+    return refs.sum(axis=-2) / refs.shape[-2]
 
 
 @dataclass

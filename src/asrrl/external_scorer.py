@@ -77,10 +77,10 @@ class ExternalScorerClient:
             msg = {
                 "id": req_id,
                 "kind": kind,
-                "speech": [float(x) for x in np.asarray(speech, dtype=np.float64)],
+                "speech": np.asarray(speech, dtype=np.float64).tolist(),
                 "target": None
                 if target is None
-                else [float(x) for x in np.asarray(target, dtype=np.float64)],
+                else np.asarray(target, dtype=np.float64).tolist(),
                 "text_id": text_id,
             }
             line = json.dumps(msg) + "\n"

@@ -462,6 +462,8 @@ class EvalResult:
 
     def mean(self, variant: str, metric: str) -> float:
         vals = [r[metric] for r in self.rows if r["variant"] == variant]
+        if not vals:
+            raise ValueError(f"no {variant!r} rows to average; have {self.variants()}")
         return float(np.mean(vals))
 
     def summary(self) -> list[dict]:
@@ -488,8 +490,12 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
     Emits spec.eval_episodes episodes per speaker for the rl variant,
     one scored row per (speaker, text) for raw, and a grid-oracle row
     per (speaker, text) for oracle; oracle_best refuses grids too large
-    for d_e.
+    for d_e. Another variant, or rl without a policy, is a ConfigError.
     """
+    unknown = sorted(set(variants) - {"rl", "raw", "oracle"})
+    if unknown or ("rl" in variants and policy is None):
+        raise ConfigError(f"cannot evaluate {unknown or ['rl']} here: the variants are "
+                          f"rl (which needs a policy), raw and oracle")
     cfg = spec.config
     env, profiles, texts = build_env(spec, corpus)
     if policy is not None and policy.layout.size != env.layout.size:
@@ -508,7 +514,7 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
     for si in idx:
         profile, spk_texts = profiles[si], texts[si]
         n_texts = spk_texts.shape[0]
-        if "rl" in variants and policy is not None:
+        if "rl" in variants:
             for ei in range(spec.eval_episodes):
                 f_t = spk_texts[ei % n_texts]
                 ep = run_episode(env, policy, profile, f_t, mode="mode")
@@ -688,10 +694,10 @@ def write_rows(path, rows: list[dict], columns: list[str] | None = None) -> None
     if columns is None:
         columns = list(rows[0].keys()) if rows else RUN_COLUMNS
     with replace_on_success(path, newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        # the bytes csv.DictWriter(extrasaction="ignore") writes, less overhead
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([row.get(c, "") for c in columns] for row in rows)
 
 
 def read_rows(path) -> list[dict]:

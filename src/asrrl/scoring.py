@@ -36,7 +36,7 @@ SCORE_RANGES = {"sim": (0.0, 1.0), "mos": (0.0, 5.0), "intell": (0.0, 1.0)}
 def _check_range(kind: str, value: float) -> float:
     lo, hi = SCORE_RANGES[kind]
     value = float(value)
-    if not math.isfinite(value) or not (lo <= value <= hi):
+    if not (lo <= value <= hi):  # False for NaN and +-inf too
         raise ScoreRangeError(f"{kind} score {value} outside [{lo}, {hi}]")
     return value
 
@@ -46,7 +46,7 @@ def check_ranges(parts: dict[str, np.ndarray]) -> None:
     bad value of a kind raises with the scalar message."""
     for kind, values in parts.items():
         lo, hi = SCORE_RANGES[kind]
-        ok = np.isfinite(values) & (values >= lo) & (values <= hi)
+        ok = (values >= lo) & (values <= hi)
         if not ok.all():
             _check_range(kind, values[~ok][0])
 
@@ -137,10 +137,11 @@ def cosine_similarity_score(v: np.ndarray, target: np.ndarray) -> float:
     """
     v = np.asarray(v, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    nv = np.linalg.norm(v)
-    nt = np.linalg.norm(target)
+    # np.linalg.norm(v) is this sqrt of the dot product
+    nv = math.sqrt(v.dot(v))
+    nt = math.sqrt(target.dot(target))
     if nv == 0.0 or nt == 0.0:
         return 0.5
-    cos = float(np.dot(v, target) / (nv * nt))
+    cos = float(v.dot(target)) / (nv * nt)
     cos = max(-1.0, min(1.0, cos))
     return (1.0 + cos) / 2.0

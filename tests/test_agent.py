@@ -143,6 +143,22 @@ def test_forward_raises_on_nonfinite_params():
     policy.params["mean.W"][:] = np.inf
     with pytest.raises(FloatingPointError, match="parameter norms"):
         policy.forward(np.zeros(policy.state_dim))
+    policy = _policy("ss")
+    policy.params["value.W"][1, 0] = np.nan
+    with pytest.raises(FloatingPointError, match="parameter norms"):
+        policy.forward(np.ones(policy.state_dim))
+
+
+def test_forward_clamps_log_std_like_np_clip():
+    policy = _policy("ss", d_e=6)
+    raw = np.array([-7.5, -5.0, -4.999, 1.999, 2.0, 9.0])
+    policy.params["log_std"][:] = raw
+    _, log_std, _, _ = policy.forward(np.zeros(policy.state_dim))
+    want = np.clip(raw, agent.LOG_STD_MIN, agent.LOG_STD_MAX)
+    assert log_std.tobytes() == want.tobytes()
+    assert log_std.tolist() == [-5.0, -5.0, -4.999, 1.999, 2.0, 2.0]
+    # the parameter itself is left as it was
+    assert policy.params["log_std"].tobytes() == raw.tobytes()
 
 
 # -- PPO -------------------------------------------------------------------

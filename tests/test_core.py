@@ -54,6 +54,10 @@ def test_flatten_rejects_wrong_length_and_names_segment():
         layout.flatten(np.zeros(5), np.zeros(3))
     with pytest.raises(ValueError, match="e "):
         layout.flatten(np.zeros(2), np.zeros(4))
+    # a segment must have one row per embedding row: none is broadcast
+    for f_t in (np.zeros(2), np.zeros((1, 2)), np.zeros((3, 2))):
+        with pytest.raises(ValueError, match="f_t"):
+            layout.flatten(f_t, np.zeros((4, 3)))
 
 
 def test_flatten_rejects_nonfinite():

@@ -68,6 +68,21 @@ def _respond_raw(server, payload: bytes):
     sw.flush()
 
 
+def test_request_line_keeps_every_float_exact():
+    client, (reader, _), socks = _pair()
+    values = np.array([-0.0, 5e-324, 0.1, 1e308])
+    client.submit("sim", values, target=values[::-1], text_id=7)
+    line = reader.readline()
+    assert line == (b'{"id": 0, "kind": "sim", "speech": [-0.0, 5e-324, 0.1, 1e+308], '
+                    b'"target": [1e+308, 0.1, 5e-324, -0.0], "text_id": 7}\n')
+    # the numbers read back bit-exactly
+    msg = json.loads(line)
+    assert np.array(msg["speech"]).tobytes() == values.tobytes()
+    client.close()
+    for s in socks:
+        s.close()
+
+
 def test_malformed_line_is_a_fault_not_a_score():
     client, server, socks = _pair()
     req = client.submit("sim", [0.5])

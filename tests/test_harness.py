@@ -1,5 +1,7 @@
 """Corpus I/O, training/eval harness, sweeps, ablations, CSV, CLI."""
 
+import csv
+import io
 import math
 import os
 import threading
@@ -424,6 +426,23 @@ def test_evaluate_rows_match_one_at_a_time_play(tmp_path, eval_episodes,
     assert len({r["fused"] for r in rows}) > 1
 
 
+def test_evaluate_rejects_variants_it_cannot_play(tmp_path, corpus):
+    spec = _tiny_spec(tmp_path, corpus)
+    policy, _ = train(spec, corpus, write_outputs=False)
+    with pytest.raises(ConfigError, match="'orcale'"):
+        evaluate(policy, spec, corpus, variants=("orcale",))
+    with pytest.raises(ConfigError, match="rl"):
+        evaluate(None, spec, corpus)
+    with pytest.raises(ConfigError, match="rl"):
+        evaluate(None, spec, corpus, variants=("raw", "rl"))
+    # raw and oracle need no policy
+    result = evaluate(None, spec, corpus, variants=("raw",))
+    assert result.variants() == ["raw"]
+    with pytest.raises(ValueError, match="no 'rl' rows"):
+        result.mean("rl", "fused")
+    assert math.isfinite(result.mean("raw", "fused"))
+
+
 def test_evaluate_raw_fs_variant_scores_mean_init(tmp_path):
     corpus = gen_corpus(2, 6, 3, 4, 3, 2, tmp_path / "fs.tsv")
     spec = _tiny_spec(tmp_path, corpus)
@@ -588,6 +607,31 @@ def test_write_read_rows_roundtrip_with_quoting(tmp_path):
     path = tmp_path / "r.csv"
     write_rows(path, rows, columns=["a", "b"])
     assert read_rows(path) == rows
+
+
+@pytest.mark.parametrize("case", ["run_columns", "extra_keys", "missing_key",
+                                  "columns_none"])
+def test_write_rows_bytes_equal_dictwriter(tmp_path, case):
+    spec = ExperimentSpec(run_id='run "q", x')
+    rows = [harness._score_row(spec, spec.config, i, 3, "rl",
+                               (0.1 * i, 4.5, 1e-17), -0.0 if i else 1 / 3)
+            for i in range(4)]
+    columns = harness.RUN_COLUMNS
+    if case == "extra_keys":
+        rows = [{**r, "extra": "x,y", "note": None} for r in rows]
+    elif case == "missing_key":
+        rows = [{k: v for k, v in r.items() if k != "mos" or i % 2}
+                for i, r in enumerate(rows)]
+    elif case == "columns_none":
+        columns = None
+    path = tmp_path / "out.csv"
+    write_rows(path, rows, columns=columns)
+    want = io.StringIO(newline="")
+    writer = csv.DictWriter(want, fieldnames=columns or list(rows[0]),
+                            extrasaction="ignore")
+    writer.writeheader()
+    writer.writerows(rows)
+    assert path.read_bytes() == want.getvalue().encode("utf-8")
 
 
 def test_write_rows_whole_file_through_links_and_pipes(tmp_path):

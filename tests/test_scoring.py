@@ -62,6 +62,14 @@ def test_triple_rejects_out_of_range():
                           for k, v, ok in zip(kinds, bad, (0.5, 2.0, 0.5))})
     with pytest.raises(ScoreRangeError, match="mos score 5.5 outside"):
         check_ranges({"mos": np.array([1.0, 5.5, 6.0])})
+    # NaN and both infinities fail the range comparison for every kind
+    good = {"sim": 0.5, "mos": 2.0, "intell": 0.5}
+    for kind in kinds:
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ScoreRangeError, match=f"{kind} score {bad} outside"):
+                ScoreTriple(**{**good, kind: bad})
+            with pytest.raises(ScoreRangeError, match=f"{kind} score {bad} outside"):
+                check_ranges({kind: np.array([good[kind], bad, good[kind]])})
 
 
 @settings(max_examples=300, deadline=None)
