@@ -222,48 +222,42 @@ def select_action(policy: PolicyNetwork, state: np.ndarray,
     return action, lp, float(value[0]), raw
 
 
-def gae(rewards, values, dones, gamma: float, gae_lambda: float):
-    """Generalized advantage estimation over a batch of complete episodes.
+def gae(rewards, values, gamma: float, gae_lambda: float):
+    """Generalized advantage estimation over complete episodes of one
+    horizon: (episodes, steps) arrays, run backward over the step axis.
 
     Returns (advantages, returns) with returns = advantages + values.
     """
     rewards = np.asarray(rewards, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    dones = np.asarray(dones, dtype=bool)
-    if not (rewards.shape == values.shape == dones.shape):
-        raise ValueError("rewards, values, dones must have equal length")
+    if rewards.ndim != 2 or rewards.shape != values.shape:
+        raise ValueError(f"need (episodes, steps) arrays, got {rewards.shape}, {values.shape}")
     if not (0.0 <= gamma <= 1.0 and 0.0 <= gae_lambda <= 1.0):
         raise ValueError("gamma and gae_lambda must lie in [0, 1]")
-    n = rewards.shape[0]
-    advantages = np.zeros(n)
-    last = 0.0
-    for t in range(n - 1, -1, -1):
-        nonterminal = 0.0 if dones[t] else 1.0
-        next_value = values[t + 1] if (t + 1 < n and not dones[t]) else 0.0
-        delta = rewards[t] + gamma * next_value * nonterminal - values[t]
-        last = delta + gamma * gae_lambda * nonterminal * last
-        advantages[t] = last
+    advantages = np.empty_like(rewards)
+    next_value = last = 0.0  # nothing follows an episode's last step
+    for t in range(rewards.shape[1] - 1, -1, -1):
+        delta = rewards[:, t] + gamma * next_value - values[:, t]
+        last = delta + gamma * gae_lambda * last
+        advantages[:, t] = last
+        next_value = values[:, t]
     return advantages, advantages + values
 
 
 @dataclass
 class RolloutBatch:
-    states: np.ndarray       # (N, state_dim)
-    raw_actions: np.ndarray  # (N, action_dim), pre-squash
-    log_probs: np.ndarray    # (N,)
+    states: np.ndarray       # (episodes, steps, state_dim)
+    raw_actions: np.ndarray  # (episodes, steps, action_dim), pre-squash
+    log_probs: np.ndarray    # (episodes, steps)
     rewards: np.ndarray
     values: np.ndarray
-    dones: np.ndarray
     advantages: np.ndarray = field(default=None)
     returns: np.ndarray = field(default=None)
 
-    def __len__(self):
-        return self.states.shape[0]
-
     def compute_advantages(self, gamma, gae_lambda):
         """GAE, with advantages standardized when the batch has 2+ steps."""
-        adv, ret = gae(self.rewards, self.values, self.dones, gamma, gae_lambda)
-        if len(adv) > 1:
+        adv, ret = gae(self.rewards, self.values, gamma, gae_lambda)
+        if adv.size > 1:
             std = adv.std()
             if std > 1e-8:
                 adv = (adv - adv.mean()) / std
@@ -310,20 +304,22 @@ def _ppo_pass(policy, batch, clip_epsilon, value_coef, entropy_coef):
         raise ValueError("batch advantages not computed")
     if clip_epsilon <= 0:
         raise ValueError("clip_epsilon must be positive")
-    n = len(batch)
-    mean, log_std, value, cache = policy.forward(batch.states)
-    lp_new = action_log_prob(policy, batch.raw_actions, mean, log_std)
-    ratio = np.exp(lp_new - batch.log_probs)
+    # one row per step, episode-major: views of the (episodes, steps) arrays
+    states, raws, log_probs, A, returns = (a.reshape(-1, *a.shape[2:]) for a in (
+        batch.states, batch.raw_actions, batch.log_probs, batch.advantages, batch.returns))
+    n = len(A)
+    mean, log_std, value, cache = policy.forward(states)
+    lp_new = action_log_prob(policy, raws, mean, log_std)
+    ratio = np.exp(lp_new - log_probs)
     if np.max(ratio) > MAX_RATIO:
         raise UpdateRejected(
             f"importance ratio exploded (max {np.max(ratio):.3e} > {MAX_RATIO:g})"
         )
-    A = batch.advantages
     unclipped = ratio * A
     clipped = np.clip(ratio, 1.0 - clip_epsilon, 1.0 + clip_epsilon) * A
     surrogate = np.minimum(unclipped, clipped)
     policy_loss = -surrogate.mean()
-    v_err = value - batch.returns
+    v_err = value - returns
     value_loss = float(np.mean(v_err * v_err))
     entropy = float(np.sum(log_std) + 0.5 * policy.action_dim * (1.0 + LOG_2PI))
     loss = policy_loss + value_coef * value_loss - entropy_coef * entropy
@@ -333,7 +329,7 @@ def _ppo_pass(policy, batch, clip_epsilon, value_coef, entropy_coef):
     use_unclipped = unclipped <= clipped
     dlp = np.where(use_unclipped, -A * ratio, 0.0) / n
     var = np.exp(2.0 * log_std)
-    diff = batch.raw_actions - mean
+    diff = raws - mean
     dmean = dlp[:, None] * diff / var
     # d log-prob / d log-std = z^2 - 1 per dimension
     g_log_std = (dlp[:, None] * (diff * diff / var - 1.0)).sum(axis=0)
@@ -346,7 +342,7 @@ def _ppo_pass(policy, batch, clip_epsilon, value_coef, entropy_coef):
         "policy_loss": float(policy_loss),
         "value_loss": value_loss,
         "entropy": entropy,
-        "approx_kl": float(np.mean(batch.log_probs - lp_new)),
+        "approx_kl": float(np.mean(log_probs - lp_new)),
         "max_ratio": float(np.max(ratio)),
     }
     return float(loss), grads, report

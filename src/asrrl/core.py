@@ -7,7 +7,8 @@ their inputs, and are safe to call from any number of threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -231,14 +232,18 @@ class RLConfig:
     seed: int = 0
 
     def validate(self) -> "RLConfig":
+        bad = [f"{f.name}={getattr(self, f.name)}" for f in fields(self)
+               if f.type == "float" and not math.isfinite(getattr(self, f.name))]
+        if bad:
+            raise ValueError(f"settings must be finite, got {', '.join(bad)}")
         if not (0.0 <= self.gamma <= 1.0):
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
         if not (0.0 <= self.gae_lambda <= 1.0):
             raise ValueError(f"gae_lambda must be in [0, 1], got {self.gae_lambda}")
         if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("reward weights must be non-negative")
+            raise ValueError(f"lambda1={self.lambda1}, lambda2={self.lambda2}: need >= 0")
         if self.steps_ss < 1 or self.steps_fs < 1:
-            raise ValueError("step budgets must be positive")
+            raise ValueError(f"steps_ss={self.steps_ss}, steps_fs={self.steps_fs}: need >= 1")
         if self.action_scale <= 0:
             raise ValueError("action_scale must be positive")
         if self.clip_epsilon <= 0:
@@ -247,8 +252,10 @@ class RLConfig:
             raise ValueError("learning_rate must be positive")
         if self.update_epochs < 1 or self.rollout_batch < 1:
             raise ValueError("update_epochs and rollout_batch must be >= 1")
-        if self.d_e < 1 or self.d_t < 1 or self.k < 1:
-            raise ValueError("dimensions d_e, d_t, k must be >= 1")
+        if self.d_e < 1 or self.d_t < 1 or self.k < 1 or self.hidden < 1:
+            raise ValueError("dimensions d_e, d_t, k, hidden must be >= 1")
+        if self.train_iters < 0:
+            raise ValueError(f"train_iters must be >= 0, got {self.train_iters}")
         if self.encoder not in ("segments", "mlp"):
             raise ValueError(f"unknown encoder {self.encoder!r}")
         return self

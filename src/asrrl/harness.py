@@ -310,7 +310,7 @@ def run_episode(env, policy: PolicyNetwork | None, profile, f_t, *,
     """
     state = env.reset(profile, f_t)
     sc0 = env.initial_fused
-    states, raws, lps, rewards, values, dones = [], [], [], [], [], []
+    states, raws, lps, rewards, values = [], [], [], [], []
     done = False
     while not done:
         action, lp, value, raw = select_action(policy, state, rng=rng, mode=mode)
@@ -320,13 +320,12 @@ def run_episode(env, policy: PolicyNetwork | None, profile, f_t, *,
         lps.append(lp)
         rewards.append(tr.reward)
         values.append(value)
-        dones.append(tr.done)
         state = tr.next_state
         triple, fused, done = tr.score, tr.fused, tr.done
     return {
         "states": np.array(states), "raws": np.array(raws),
         "log_probs": np.array(lps), "rewards": np.array(rewards),
-        "values": np.array(values), "dones": np.array(dones),
+        "values": np.array(values),
         "initial_fused": sc0, "final_fused": fused, "final_triple": triple,
     }
 
@@ -364,11 +363,8 @@ def run_episodes(env, policy: PolicyNetwork, profiles, F, noise):
         per_step.append({"states": states, "raws": raws,
                          "log_probs": action_log_prob(policy, raws, mean, log_std),
                          "rewards": sc - sc_prev, "values": values})
-    dones = np.zeros((n, steps), dtype=bool)
-    dones[:, -1] = True
     return {**{k: np.stack([s[k] for s in per_step], axis=1) for k in per_step[0]},
-            "dones": dones, "initial_fused": sc0, "final_fused": sc,
-            "final_scores": scores}
+            "initial_fused": sc0, "final_fused": sc, "final_scores": scores}
 
 
 def train(spec: ExperimentSpec, corpus: Corpus | None = None, *,
@@ -424,10 +420,8 @@ def train(spec: ExperimentSpec, corpus: Corpus | None = None, *,
                     f"{diverged_streak} consecutive episodes "
                     f"(last: {sc:.4f} vs raw {sc0:.4f})"
                 )
-        # episode-major rows, the order of one-at-a-time play
         batch = RolloutBatch(*(
-            eps[k].reshape(-1, *eps[k].shape[2:])
-            for k in ("states", "raws", "log_probs", "rewards", "values", "dones")
+            eps[k] for k in ("states", "raws", "log_probs", "rewards", "values")
         )).compute_advantages(cfg.gamma, cfg.gae_lambda)
         ppo_update(
             policy, batch, clip_epsilon=cfg.clip_epsilon,
@@ -722,12 +716,12 @@ def parse_config_file(path) -> RLConfig:
             key, val = key.strip(), val.strip()
             if not sep or key not in fields:
                 raise ConfigError(f"{path}:{lineno}: unknown or malformed entry {raw.strip()!r}")
-            if key == "encoder":
-                overrides[key] = val
-            elif fields[key] in ("int", int):
-                overrides[key] = int(val)
-            else:
-                overrides[key] = float(val)
+            kind = str if key == "encoder" else int if fields[key] in ("int", int) else float
+            try:
+                overrides[key] = kind(val)
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: {key} must be {kind.__name__}, "
+                                  f"got {val!r}") from None
     try:
         return RLConfig().with_overrides(**overrides)
     except (ValueError, TypeError) as exc:

@@ -76,8 +76,9 @@ class RewardWeights:
     enable_intell: bool = True
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("reward weights must be non-negative")
+        if not (0 <= self.lambda1 < math.inf and 0 <= self.lambda2 < math.inf):
+            raise ValueError(f"reward weights must be finite and non-negative, got "
+                             f"lambda1={self.lambda1}, lambda2={self.lambda2}")
 
 
 def fuse_scores(t: ScoreTriple, w: RewardWeights = RewardWeights()):

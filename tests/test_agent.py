@@ -3,7 +3,7 @@
 import io
 import json
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -40,42 +40,91 @@ def _policy(scenario="ss", encoder="segments", hidden=4, d_t=2, d_e=2, k=2,
 
 # -- GAE -------------------------------------------------------------------
 
+def _gae_rows(rewards, values, dones, gamma, gae_lambda):
+    """GAE row by row over concatenated episodes, each ending where dones
+    is True: the reference for gae's (episodes, steps) form."""
+    n = len(rewards)
+    advantages = np.zeros(n)
+    last = 0.0
+    for t in range(n - 1, -1, -1):
+        nonterminal = 0.0 if dones[t] else 1.0
+        next_value = values[t + 1] if (t + 1 < n and not dones[t]) else 0.0
+        delta = rewards[t] + gamma * next_value * nonterminal - values[t]
+        last = delta + gamma * gae_lambda * nonterminal * last
+        advantages[t] = last
+    return advantages, advantages + values
+
+
+def _episode_ends(episodes, steps):
+    dones = np.zeros((episodes, steps), dtype=bool)
+    dones[:, -1] = True
+    return dones.ravel()
+
+
 def test_gae_hand_computed():
-    adv, ret = gae([1.0, 1.0, 1.0], [0.0, 0.0, 0.0],
-                   [False, False, True], gamma=0.5, gae_lambda=1.0)
-    np.testing.assert_allclose(adv, [1.75, 1.5, 1.0], atol=1e-12)
+    adv, ret = gae([[1.0, 1.0, 1.0]], [[0.0, 0.0, 0.0]], gamma=0.5, gae_lambda=1.0)
+    np.testing.assert_allclose(adv, [[1.75, 1.5, 1.0]], atol=1e-12)
     np.testing.assert_allclose(ret, adv, atol=1e-12)
 
 
 def test_gae_gamma_zero_is_td_residual():
-    r = np.array([0.3, -0.2, 0.5])
-    v = np.array([0.1, 0.4, -0.1])
-    adv, _ = gae(r, v, [False, False, True], gamma=0.0, gae_lambda=0.95)
+    r = np.array([[0.3, -0.2, 0.5]])
+    v = np.array([[0.1, 0.4, -0.1]])
+    adv, _ = gae(r, v, gamma=0.0, gae_lambda=0.95)
     np.testing.assert_allclose(adv, r - v, atol=1e-12)
 
 
 def test_gae_zero_inputs():
-    adv, ret = gae(np.zeros(5), np.zeros(5),
-                   [False] * 4 + [True], 0.9, 0.95)
+    adv, ret = gae(np.zeros((2, 5)), np.zeros((2, 5)), 0.9, 0.95)
     assert not adv.any() and not ret.any()
 
 
-def test_gae_does_not_leak_across_episodes():
-    # two concatenated episodes must match two separate computations
-    r = [1.0, 2.0, 3.0, 4.0]
-    v = [0.5, 0.1, 0.2, 0.3]
-    d = [False, True, False, True]
-    adv, _ = gae(r, v, d, 0.9, 0.9)
-    a1, _ = gae(r[:2], v[:2], d[:2], 0.9, 0.9)
-    a2, _ = gae(r[2:], v[2:], d[2:], 0.9, 0.9)
-    np.testing.assert_allclose(adv, np.concatenate([a1, a2]), atol=1e-12)
+@pytest.mark.parametrize("steps", [1, 3, 5])
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("gae_lambda", [0.0, 0.95, 1.0])
+def test_gae_bit_equal_to_row_by_row_reference(steps, gamma, gae_lambda):
+    rng = np.random.default_rng(steps)
+    r = rng.standard_normal((11, steps))
+    v = rng.standard_normal((11, steps))
+    adv, ret = gae(r, v, gamma, gae_lambda)
+    want_adv, want_ret = _gae_rows(r.ravel(), v.ravel(), _episode_ends(11, steps),
+                                   gamma, gae_lambda)
+    assert adv.shape == ret.shape == (11, steps)
+    assert adv.tobytes() == want_adv.tobytes()
+    assert ret.tobytes() == want_ret.tobytes()
+
+
+def test_gae_episodes_are_independent():
+    # each episode's row equals gae of that row alone
+    rng = np.random.default_rng(4)
+    r, v = rng.standard_normal((6, 3)), rng.standard_normal((6, 3))
+    adv, ret = gae(r, v, 0.9, 0.9)
+    for i in range(len(r)):
+        a, b = gae(r[i:i + 1], v[i:i + 1], 0.9, 0.9)
+        assert a.tobytes() == adv[i:i + 1].tobytes()
+        assert b.tobytes() == ret[i:i + 1].tobytes()
+    # a non-finite reward stays in its own episode
+    r[2, 1] = np.inf
+    adv, _ = gae(r, v, 0.9, 0.9)
+    assert np.isfinite(np.delete(adv, 2, axis=0)).all()
 
 
 def test_gae_validates_inputs():
     with pytest.raises(ValueError):
-        gae([1.0], [1.0, 2.0], [True], 0.9, 0.9)
+        gae([[1.0]], [[1.0, 2.0]], 0.9, 0.9)
+    with pytest.raises(ValueError, match=r"\(episodes, steps\)"):
+        gae([1.0, 2.0], [0.0, 0.0], 0.9, 0.9)
     with pytest.raises(ValueError):
-        gae([1.0], [0.0], [True], 1.5, 0.9)
+        gae([[1.0]], [[0.0]], 1.5, 0.9)
+
+
+def test_single_episode_advantages_are_standardized():
+    batch = RolloutBatch(states=np.zeros((1, 3, 2)), raw_actions=np.zeros((1, 3, 1)),
+                         log_probs=np.zeros((1, 3)), rewards=np.array([[1.0, -2.0, 0.5]]),
+                         values=np.zeros((1, 3))).compute_advantages(0.9, 0.95)
+    assert batch.advantages.shape == (1, 3)
+    assert abs(batch.advantages.mean()) <= 1e-12
+    assert abs(batch.advantages.std() - 1.0) <= 1e-12
 
 
 # -- distributions ---------------------------------------------------------
@@ -163,20 +212,55 @@ def test_forward_clamps_log_std_like_np_clip():
 
 # -- PPO -------------------------------------------------------------------
 
-def _batch(policy, n=32, seed=0):
+def _batch(policy, n=30, seed=0):
+    """n random steps as n // 3 episodes of 3 steps."""
     rng = np.random.default_rng(seed)
     states = rng.standard_normal((n, policy.state_dim))
     mean, log_std, value, _ = policy.forward(states)
     raw = mean + np.exp(log_std) * rng.standard_normal(mean.shape)
     lp = action_log_prob(policy, raw, mean, log_std)
     rewards = rng.standard_normal(n) * 0.1
-    dones = np.zeros(n, dtype=bool)
-    dones[2::3] = True
-    dones[-1] = True
+    shape = (n // 3, 3)
     return RolloutBatch(
-        states=states, raw_actions=raw, log_probs=lp, rewards=rewards,
-        values=value, dones=dones,
+        states=states.reshape(*shape, -1), raw_actions=raw.reshape(*shape, -1),
+        log_probs=lp.reshape(shape), rewards=rewards.reshape(shape),
+        values=value.reshape(shape),
     ).compute_advantages(0.3, 0.95)
+
+
+def test_batch_keeps_the_row_layout_bits():
+    # the episodes are the rows a flat, done-flagged batch held, and
+    # their advantages are the row-by-row ones, standardized
+    policy = _policy("ss", encoder="segments", hidden=4)
+    batch = _batch(policy, n=24, seed=5)
+    rng = np.random.default_rng(5)
+    states = rng.standard_normal((24, policy.state_dim))
+    mean, log_std, value, _ = policy.forward(states)
+    raw = mean + np.exp(log_std) * rng.standard_normal(mean.shape)
+    lp = action_log_prob(policy, raw, mean, log_std)
+    rewards = rng.standard_normal(24) * 0.1
+    adv, ret = _gae_rows(rewards, value, _episode_ends(8, 3), 0.3, 0.95)
+    adv = (adv - adv.mean()) / adv.std()
+    for got, want in ((batch.states, states), (batch.raw_actions, raw),
+                      (batch.log_probs, lp), (batch.rewards, rewards),
+                      (batch.values, value), (batch.advantages, adv),
+                      (batch.returns, ret)):
+        assert got.shape[:2] == (8, 3)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_ppo_pass_reads_steps_episode_after_episode():
+    # the same rows as one-step episodes give the same bits
+    policy = _policy("ss")
+    batch = _batch(policy, n=24, seed=5)
+    rows = RolloutBatch(*(a.reshape(24, 1, *a.shape[2:])
+                          for a in (getattr(batch, f.name) for f in fields(batch))))
+    kw = dict(clip_epsilon=0.2, value_coef=0.5, entropy_coef=0.01)
+    loss, grads, report = ppo_loss_and_grads(policy, batch, **kw)
+    want_loss, want_grads, want_report = ppo_loss_and_grads(policy, rows, **kw)
+    assert loss == want_loss and report == want_report
+    for name, g in grads.items():
+        assert g.tobytes() == want_grads[name].tobytes(), name
 
 
 @pytest.mark.parametrize("scenario", ["ss", "fs"])
@@ -213,7 +297,7 @@ def test_gradients_match_finite_differences(scenario, encoder):
 
 def test_ppo_update_moves_toward_advantage():
     policy = _policy("ss", hidden=8)
-    batch = _batch(policy, n=64)
+    batch = _batch(policy, n=63)
     before = [ppo_loss_and_grads(policy, batch, clip_epsilon=0.2,
                                  value_coef=0.5, entropy_coef=0.0)[0]]
     report = ppo_update(policy, batch, update_epochs=10, learning_rate=1e-2,
@@ -245,7 +329,7 @@ def test_log_std_stays_clamped_after_updates():
 
 def test_advantage_normalization():
     policy = _policy("ss")
-    batch = _batch(policy, n=64)
+    batch = _batch(policy, n=63)
     assert abs(batch.advantages.mean()) <= 1e-9
     assert abs(batch.advantages.std() - 1.0) <= 1e-9
 

@@ -1,5 +1,8 @@
 """State layout, action algebra, and config validation."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from asrrl.core import (
     mean_init,
     softmax,
 )
+from asrrl.scoring import RewardWeights
 
 
 # -- state layout ----------------------------------------------------------
@@ -208,14 +212,30 @@ def test_config_defaults_match_reference_settings():
     cfg.validate()
 
 
+FLOAT_SETTINGS = [f.name for f in dataclasses.fields(RLConfig) if f.type == "float"]
+
+
 @pytest.mark.parametrize("bad", [
     {"gamma": 1.5}, {"gamma": -0.1}, {"action_scale": 0.0},
     {"lambda1": -1.0}, {"steps_ss": 0}, {"clip_epsilon": 0.0},
-    {"encoder": "transformer"}, {"k": 0},
-])
+    {"encoder": "transformer"}, {"k": 0}, {"hidden": 0}, {"train_iters": -1},
+] + [{name: v} for name in FLOAT_SETTINGS for v in (math.nan, math.inf, -math.inf)])
 def test_config_validation_rejects(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="|".join(bad)):
         RLConfig(**bad).validate()
+
+
+def test_config_float_settings_are_the_float_fields():
+    assert FLOAT_SETTINGS == ["gamma", "lambda1", "lambda2", "action_scale",
+                              "gae_lambda", "clip_epsilon", "learning_rate",
+                              "entropy_coef", "value_coef"]
+    RLConfig(train_iters=0).validate()
+
+
+@pytest.mark.parametrize("lambdas", [(math.nan, 0.1), (0.5, math.inf), (-1.0, 0.1)])
+def test_reward_weights_reject_nonfinite_or_negative(lambdas):
+    with pytest.raises(ValueError, match="lambda1"):
+        RewardWeights(*lambdas)
 
 
 def test_with_overrides_returns_new_validated_config():

@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import os
+import re
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -227,7 +228,7 @@ def test_run_episode_scores_each_state_once(corpus, monkeypatch):
                              rng=substream(0, "rollout"))
     # one score at reset, one per step
     assert len(calls) == 1 + spec.step_budget
-    assert ep["dones"].tolist() == [False] * (spec.step_budget - 1) + [True]
+    assert ep["rewards"].shape == (spec.step_budget,)
     assert ep["final_fused"] == fuse_scores(ep["final_triple"], spec.weights)
     assert ep["rewards"].sum() == pytest.approx(
         ep["final_fused"] - ep["initial_fused"], abs=1e-12)
@@ -269,7 +270,6 @@ def test_run_episodes_match_run_episode(case):
                                  rng=substream(i, "noise"))
         for key in ("states", "raws", "log_probs", "rewards", "values"):
             np.testing.assert_allclose(eps[key][i], ep[key], rtol=0, atol=1e-12)
-        assert eps["dones"][i].tolist() == ep["dones"].tolist()
         for key in ("initial_fused", "final_fused"):
             assert abs(eps[key][i] - ep[key]) <= 1e-12
         for kind in ("sim", "mos", "intell"):
@@ -284,7 +284,7 @@ def test_run_episodes_match_run_episode(case):
 def test_train_draws_match_one_at_a_time_play(tmp_path, corpus, monkeypatch):
     """Per episode: speaker, text, then each step's noise, from the rollout
     stream, which the checkpoint saves in the same state; the PPO batch
-    holds the episodes one after another."""
+    holds one episode per row, in the order they were played."""
     batches = []
     update = harness.ppo_update
     monkeypatch.setattr(harness, "ppo_update",
@@ -308,9 +308,9 @@ def test_train_draws_match_one_at_a_time_play(tmp_path, corpus, monkeypatch):
     (batch,) = batches
     for field, key in (("states", "states"), ("raw_actions", "raws"),
                        ("log_probs", "log_probs"), ("rewards", "rewards"),
-                       ("values", "values"), ("dones", "dones")):
+                       ("values", "values")):
         np.testing.assert_allclose(getattr(batch, field),
-                                   np.concatenate([ep[key] for ep in played]),
+                                   np.stack([ep[key] for ep in played]),
                                    rtol=0, atol=1e-12)
     _, _, step, saved = load_checkpoint(tmp_path / "t" / "checkpoint.json")
     assert step == len(rows) == 6
@@ -683,6 +683,13 @@ def test_parse_config_file_rejects_invalid_value(tmp_path):
     path.write_text("gamma=7\n")
     with pytest.raises(ConfigError):
         parse_config_file(path)
+    # a value that does not parse is named with its line and key
+    for text, where in (("hidden=8\ngamma=0.5x\n", ":2: gamma must be float, got '0.5x'"),
+                        ("# c\n\nhidden=2.5\n", ":3: hidden must be int, got '2.5'"),
+                        ("lambda1=nan\n", "lambda1=nan")):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            parse_config_file(path)
 
 
 # -- CLI -------------------------------------------------------------------
@@ -712,10 +719,23 @@ def test_cli_full_pipeline(tmp_path, capsys):
     assert "raw" in out and "sim=" in out
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     corpus_path = tmp_path / "c.tsv"
     _cli("gen-data", "--seed", "1", "--speakers", "3", "--refs", "1",
          "--dim-e", "2", "--dim-t", "2", "--out", str(corpus_path))
+    # a non-finite or out-of-range setting is a config error (2) naming it
+    for line in ("learning_rate=nan", "entropy_coef=nan", "value_coef=inf",
+                 "lambda1=nan", "clip_epsilon=nan", "hidden=0",
+                 "action_scale=nan", "train_iters=-1"):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(f"train_iters=1\nrollout_batch=8\nhidden=4\n{line}\n")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--corpus", str(corpus_path), "--config", str(cfg_path),
+                      "--out", str(tmp_path / "runs")])
+        assert exc.value.code == 2, line
+        assert line.split("=")[0] in capsys.readouterr().err, line
+    assert not (tmp_path / "runs").exists()
     # overwriting without --force is an I/O error (4)
     with pytest.raises(SystemExit) as exc:
         cli.main(["gen-data", "--seed", "1", "--speakers", "3", "--refs", "1",
