@@ -348,18 +348,18 @@ def _ppo_pass(policy, batch, clip_epsilon, value_coef, entropy_coef):
     return float(loss), grads, report
 
 
-def ppo_update(policy: PolicyNetwork, batch: RolloutBatch, *,
-               clip_epsilon: float = 0.2, update_epochs: int = 4,
-               learning_rate: float = 3e-4, value_coef: float = 0.5,
-               entropy_coef: float = 0.01, optimizer: Adam | None = None) -> dict:
-    """Run update_epochs full-batch gradient steps; returns the last report."""
-    if update_epochs < 1:
+def ppo_update(policy: PolicyNetwork, batch: RolloutBatch, config: RLConfig,
+               optimizer: Adam) -> dict:
+    """Run config.update_epochs full-batch optimizer steps on the clipped
+    objective with config's clip_epsilon, value_coef and entropy_coef;
+    returns the last report."""
+    if config.update_epochs < 1:
         raise ValueError("update_epochs must be >= 1")
-    opt = optimizer or Adam(policy.flat, learning_rate)
     report = {}
-    for _ in range(update_epochs):
-        _, grads, report = _ppo_pass(policy, batch, clip_epsilon, value_coef, entropy_coef)
-        opt.step(policy.flat, grads)
+    for _ in range(config.update_epochs):
+        _, grads, report = _ppo_pass(policy, batch, config.clip_epsilon,
+                                     config.value_coef, config.entropy_coef)
+        optimizer.step(policy.flat, grads)
         np.clip(policy.params["log_std"], LOG_STD_MIN, LOG_STD_MAX,
                 out=policy.params["log_std"])
     return report

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .agent import CheckpointError
 from .core import RLConfig, mean_init
 from .harness import (
+    SWEEP_AXES,
     ConfigError,
     DivergenceError,
     ExperimentSpec,
@@ -40,18 +40,20 @@ def _add_common(p):
     p.add_argument("--corpus", required=True, help="corpus file path")
     p.add_argument("--out", default="runs", help="output directory")
     p.add_argument("--run-id", default="run")
-    p.add_argument("--scenario", choices=["ss", "fs"], default="ss")
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--seed", type=int, help="override the config seed")
 
 
 def _spec_from_args(args, corpus) -> ExperimentSpec:
+    """The corpus fixes the dimensions and the scenario: SS for one
+    reference per speaker, FS for several."""
+    m = corpus.meta
     cfg = parse_config_file(args.config) if args.config else RLConfig()
     cfg = cfg.with_overrides(
-        d_e=corpus.meta["d_e"], d_t=corpus.meta["d_t"], k=corpus.meta["k"],
+        d_e=m["d_e"], d_t=m["d_t"], k=m["k"],
         **({"seed": args.seed} if args.seed is not None else {}),
     )
-    return ExperimentSpec(config=cfg, scenario=args.scenario,
+    return ExperimentSpec(config=cfg, scenario="ss" if m["k"] == 1 else "fs",
                           run_id=args.run_id, out_dir=Path(args.out))
 
 
@@ -101,8 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="hyperparameter sweep (full run per value)")
     _add_common(p)
-    p.add_argument("--axis", required=True,
-                   choices=["gamma", "action_scale", "steps", "lambda1", "lambda2"])
+    p.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p.add_argument("--values", required=True,
                    help="comma-separated values, e.g. 0,0.3,0.9,0.99")
 
@@ -167,8 +168,6 @@ def run(argv=None) -> int:
         return EXIT_OK
 
     if args.command == "ablate":
-        spec = replace(spec, env_kind="tradeoff" if args.mode == "score_terms"
-                       else "voice")
         ablate(spec, args.mode, corpus)
         run_dir = Path(spec.out_dir) / spec.run_id
         print(f"wrote {run_dir / f'ablate_{args.mode}.csv'}")

@@ -101,20 +101,6 @@ class StateLayout:
             off += dim
         return out
 
-    def split(self, state: np.ndarray) -> dict[str, np.ndarray]:
-        """Recover the segments of a flattened state. Exact inverse of flatten."""
-        state = _as_vector(state, "state")
-        if state.shape[0] != self.size:
-            raise ValueError(
-                f"state has length {state.shape[0]}, layout expects {self.size}"
-            )
-        out = {}
-        off = 0
-        for name, dim in self.segment_dims().items():
-            out[name] = state[off : off + dim].copy()
-            off += dim
-        return out
-
 
 @dataclass(frozen=True)
 class SSAction:

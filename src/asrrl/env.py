@@ -130,10 +130,7 @@ class _EnvBase:
     # (1.46-1.53x before; medians of 15 alternations per process), which
     # would cut the unscored episode rate of perfbench's scored_eval by 40%.
     def score_state(self, f_t: np.ndarray, e: np.ndarray,
-                    profile: SpeakerProfile | None = None) -> ScoreTriple:
-        profile = profile if profile is not None else self._profile
-        if profile is None:
-            raise EpisodeError("no profile: pass one or reset() first")
+                    profile: SpeakerProfile) -> ScoreTriple:
         triple = self._triple(f_t, e, profile)
         if self.scorers:
             ctx = ScoreContext(target_voiceprint=profile.target_voiceprint)
@@ -144,7 +141,7 @@ class _EnvBase:
             triple = ScoreTriple(**parts)
         return triple
 
-    def fused(self, f_t, e, profile=None) -> float:
+    def fused(self, f_t, e, profile: SpeakerProfile) -> float:
         return fuse_scores(self.score_state(f_t, e, profile), self.weights)
 
     def fused_batch(self, f_t: np.ndarray, E: np.ndarray,
@@ -475,22 +472,21 @@ def oracle_best(env: _EnvBase, profile: SpeakerProfile, f_t: np.ndarray,
 
 
 def oracle_zoom(env, profile: SpeakerProfile, f_t: np.ndarray,
-                lo: float, hi: float, *, points: int = 21,
-                rounds: int = 4):
+                lo: float, hi: float, *, points: int = 21):
     """Brute-force grid argmax with iterative zoom.
 
     Runs oracle_best on [lo, hi]^d_e, then re-grids a one-cell window
-    around the argmax each round. Width shrinks by (points-1)/2 per
+    around the argmax, for four rounds. Width shrinks by (points-1)/2 per
     round, so four 21-point rounds resolve ~1000x finer than the first
-    grid while scoring only rounds * points**d_e candidates. The score
-    never decreases across rounds because each window contains the
-    previous argmax.
+    grid while scoring only 4 * points**d_e candidates. The score never
+    decreases across rounds because each window contains the previous
+    argmax.
     """
     d_e = profile.true_embedding.shape[0]
     los = np.full(d_e, float(lo))
     his = np.full(d_e, float(hi))
     best_e, best_sc = None, -np.inf
-    for _ in range(int(rounds)):
+    for _ in range(4):
         specs = [(los[i], his[i], points) for i in range(d_e)]
         best_e, best_sc = oracle_best(env, profile, f_t, specs)
         h = (his - los) / max(points - 1, 1)

@@ -9,6 +9,8 @@ through the swept parameter.
 from __future__ import annotations
 
 import csv
+import itertools
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -78,8 +80,8 @@ def _fmt_vec(v: np.ndarray) -> str:
 
 def _parse_rows(s: str, n_rows: int, width: int, where: str,
                 name: str) -> np.ndarray:
-    """A record field of ';'-separated vectors of ','-separated floats, as
-    an (n_rows, width) array; any other shape is a ConfigError."""
+    """A record field of ';'-separated vectors of ','-separated finite
+    floats, as an (n_rows, width) array; anything else is a ConfigError."""
     rows = s.split(";")
     if len(rows) != n_rows:
         raise ConfigError(f"{where}: {name} has {len(rows)} vectors, "
@@ -95,6 +97,8 @@ def _parse_rows(s: str, n_rows: int, width: int, where: str,
         except ValueError:
             raise ConfigError(f"{where}: {name} vector {i} is not numeric: "
                               f"{row!r}") from None
+        if not np.isfinite(out[i]).all():
+            raise ConfigError(f"{where}: {name} vector {i} is not finite: {row!r}")
     return out
 
 
@@ -119,6 +123,8 @@ def gen_corpus(seed: int, n_speakers: int, k_refs: int, d_e: int, d_t: int,
                     ("texts_per_speaker", texts_per_speaker)]:
         if n < 1:
             raise ConfigError(f"{name} must be >= 1, got {n}")
+    if not (math.isfinite(sigma_ref) and sigma_ref >= 0):
+        raise ConfigError(f"sigma_ref must be finite and >= 0, got {sigma_ref}")
     path = Path(path)
     if path.exists() and not force:
         raise FileExistsError(f"{path} exists; pass force=True / --force to overwrite")
@@ -201,6 +207,8 @@ def load_corpus(path) -> Corpus:
 # -- experiment spec -------------------------------------------------------
 
 TRADEOFF_TAU = 0.2
+TRADEOFF_SPEAKERS = 20
+TRADEOFF_TEXTS = 4
 
 
 @dataclass
@@ -220,8 +228,6 @@ class ExperimentSpec:
     include_f_rv: bool = False
     include_e_s: bool = False
     include_f_sv: bool = False
-    tradeoff_speakers: int = 20
-    tradeoff_texts: int = 4
 
     def __post_init__(self):
         # runs again on every dataclasses.replace, so the two never drift
@@ -280,19 +286,19 @@ def build_env(spec: ExperimentSpec, corpus: Corpus | None):
         )
         srng = substream(cfg.seed, "tradeoff-speakers")
         k = 1 if spec.scenario == "ss" else cfg.k
-        profiles = [env.make_profile(i, srng, k=k)
-                    for i in range(spec.tradeoff_speakers)]
-        texts = [srng.standard_normal((spec.tradeoff_texts, cfg.d_t))
-                 for _ in range(spec.tradeoff_speakers)]
+        profiles = [env.make_profile(i, srng, k=k) for i in range(TRADEOFF_SPEAKERS)]
+        texts = [srng.standard_normal((TRADEOFF_TEXTS, cfg.d_t))
+                 for _ in range(TRADEOFF_SPEAKERS)]
         return env, profiles, texts
     raise ConfigError(f"unknown env kind {spec.env_kind!r}")
 
 
 # -- training --------------------------------------------------------------
 
-def _score_row(spec, cfg, episode, speaker, variant, triple, fused):
+def _score_row(spec, episode, speaker, variant, triple, fused):
     """One RUN_COLUMNS row of a train or evaluation run; triple is a
     ScoreTriple or a (sim, mos, intell) tuple."""
+    cfg = spec.config
     return {
         "run_id": spec.run_id, "scenario": spec.scenario, "gamma": cfg.gamma,
         "action_scale": cfg.action_scale, "steps": spec.step_budget,
@@ -410,8 +416,8 @@ def train(spec: ExperimentSpec, corpus: Corpus | None = None, *,
         triples = zip(scores.sim.tolist(), scores.mos.tolist(), scores.intell.tolist())
         for si, triple, sc, sc0, bad in zip(picks, triples, final.tolist(),
                                             init.tolist(), diverged.tolist()):
-            rows.append(_score_row(spec, cfg, episode, profiles[si].speaker_id,
-                                   "rl", triple, sc))
+            rows.append(_score_row(spec, episode, profiles[si].speaker_id, "rl",
+                                   triple, sc))
             episode += 1
             diverged_streak = diverged_streak + 1 if bad else 0
             if diverged_streak >= 100:
@@ -423,12 +429,7 @@ def train(spec: ExperimentSpec, corpus: Corpus | None = None, *,
         batch = RolloutBatch(*(
             eps[k] for k in ("states", "raws", "log_probs", "rewards", "values")
         )).compute_advantages(cfg.gamma, cfg.gae_lambda)
-        ppo_update(
-            policy, batch, clip_epsilon=cfg.clip_epsilon,
-            update_epochs=cfg.update_epochs, learning_rate=cfg.learning_rate,
-            value_coef=cfg.value_coef, entropy_coef=cfg.entropy_coef,
-            optimizer=opt,
-        )
+        ppo_update(policy, batch, cfg, opt)
     if write_outputs:
         run_dir = Path(spec.out_dir) / spec.run_id
         run_dir.mkdir(parents=True, exist_ok=True)
@@ -512,13 +513,13 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
             for ei in range(spec.eval_episodes):
                 f_t = spk_texts[ei % n_texts]
                 ep = run_episode(env, policy, profile, f_t, mode="mode")
-                rows.append(_score_row(spec, cfg, ei, profile.speaker_id, "rl",
+                rows.append(_score_row(spec, ei, profile.speaker_id, "rl",
                                        ep["final_triple"], ep["final_fused"]))
         for ti in range(n_texts):
             f_t = spk_texts[ti]
             if "raw" in variants:
                 triple = env.score_state(f_t, mean_init(profile.refs), profile)
-                rows.append(_score_row(spec, cfg, ti, profile.speaker_id, "raw",
+                rows.append(_score_row(spec, ti, profile.speaker_id, "raw",
                                        triple, fuse_scores(triple, spec.weights)))
             if "oracle" in variants:
                 margin = (spec.step_budget * cfg.action_scale
@@ -528,9 +529,8 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
                 e_best, _ = oracle_zoom(env, profile, f_t, -lim, lim,
                                         points=ORACLE_GRID_POINTS)
                 triple = env.score_state(f_t, e_best, profile)
-                rows.append(_score_row(spec, cfg, ti, profile.speaker_id,
-                                       "oracle", triple,
-                                       fuse_scores(triple, spec.weights)))
+                rows.append(_score_row(spec, ti, profile.speaker_id, "oracle",
+                                       triple, fuse_scores(triple, spec.weights)))
     return EvalResult(rows)
 
 
@@ -557,6 +557,8 @@ def finetune_proxy(env, profile, f_t, *, steps: int = 2000,
     """
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
+    if not (math.isfinite(step_size) and step_size >= 0):
+        raise ConfigError(f"step_size must be finite and >= 0, got {step_size}")
     h = 1e-4
     e = mean_init(profile.refs)
     d = e.shape[0]
@@ -638,42 +640,30 @@ def ablate(spec: ExperimentSpec, mode: str, corpus: Corpus | None = None):
 
     mode="score_terms": 4 reward variants trained on the tradeoff
     environment. mode="state_segments": the 16-cell grid over prior
-    segments {f_rv, f_t} x posterior segments {e_s, f_sv}; the embedding
-    segment itself can never be disabled.
+    segments {f_rv, f_t} x posterior segments {e_s, f_sv} on the voice
+    environment; the embedding segment itself can never be disabled.
+    Every cell is evaluated under spec.weights, whatever reward it
+    trained on.
     """
-    rows = []
     if mode == "score_terms":
-        for name, (en_mos, en_int) in SCORE_TERM_VARIANTS.items():
-            w = replace(spec.weights, enable_mos=en_mos, enable_intell=en_int)
-            point = replace(spec, env_kind="tradeoff", weights=w,
-                            run_id=f"{spec.run_id}-{name}")
-            policy, _ = train(point, corpus, write_outputs=False)
-            # report scores under the full triple regardless of the
-            # reward used in training
-            eval_point = replace(point, weights=spec.weights)
-            result = evaluate(policy, eval_point, corpus)
-            for r in result.rows:
-                rows.append({**r, "ablation": name})
+        cells = {name: replace(spec, env_kind="tradeoff", weights=replace(
+                     spec.weights, enable_mos=en_mos, enable_intell=en_int))
+                 for name, (en_mos, en_int) in SCORE_TERM_VARIANTS.items()}
     elif mode == "state_segments":
-        for f_rv in (False, True):
-            for f_t_on in (False, True):
-                for e_s in (False, True):
-                    for f_sv in (False, True):
-                        name = (f"frv{int(f_rv)}_ft{int(f_t_on)}"
-                                f"_es{int(e_s)}_fsv{int(f_sv)}")
-                        point = replace(
-                            spec, include_f_rv=f_rv, include_f_t=f_t_on,
-                            include_e_s=e_s, include_f_sv=f_sv,
-                            run_id=f"{spec.run_id}-{name}",
-                        )
-                        policy, _ = train(point, corpus, write_outputs=False)
-                        result = evaluate(policy, point, corpus)
-                        for r in result.rows:
-                            rows.append({**r, "ablation": name})
+        cells = {f"frv{int(f_rv)}_ft{int(f_t)}_es{int(e_s)}_fsv{int(f_sv)}": replace(
+                     spec, env_kind="voice", include_f_rv=f_rv, include_f_t=f_t,
+                     include_e_s=e_s, include_f_sv=f_sv)
+                 for f_rv, f_t, e_s, f_sv in itertools.product((False, True), repeat=4)}
     else:
         raise ConfigError(
             f"unknown ablation mode {mode!r}; choose score_terms or state_segments"
         )
+    rows = []
+    for name, point in cells.items():
+        point = replace(point, run_id=f"{spec.run_id}-{name}")
+        policy, _ = train(point, corpus, write_outputs=False)
+        result = evaluate(policy, replace(point, weights=spec.weights), corpus)
+        rows += [{**r, "ablation": name} for r in result.rows]
     run_dir = Path(spec.out_dir) / spec.run_id
     run_dir.mkdir(parents=True, exist_ok=True)
     write_rows(run_dir / f"ablate_{mode}.csv", rows,

@@ -300,8 +300,8 @@ def test_ppo_update_moves_toward_advantage():
     batch = _batch(policy, n=63)
     before = [ppo_loss_and_grads(policy, batch, clip_epsilon=0.2,
                                  value_coef=0.5, entropy_coef=0.0)[0]]
-    report = ppo_update(policy, batch, update_epochs=10, learning_rate=1e-2,
-                        entropy_coef=0.0)
+    report = ppo_update(policy, batch, RLConfig(update_epochs=10, entropy_coef=0.0),
+                        Adam(policy.flat, 1e-2))
     after = ppo_loss_and_grads(policy, batch, clip_epsilon=0.2,
                                value_coef=0.5, entropy_coef=0.0)[0]
     assert after < before[0]
@@ -322,7 +322,7 @@ def test_log_std_stays_clamped_after_updates():
     policy = _policy("ss")
     policy.params["log_std"][:] = 1.9
     batch = _batch(policy)
-    ppo_update(policy, batch, update_epochs=3, learning_rate=10.0)
+    ppo_update(policy, batch, RLConfig(update_epochs=3), Adam(policy.flat, 10.0))
     assert np.all(policy.params["log_std"] <= 2.0)
     assert np.all(policy.params["log_std"] >= -5.0)
 
@@ -452,13 +452,13 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         a2, _, _, _ = select_action(loaded, s, mode="mode")
         np.testing.assert_array_equal(a1.delta, a2.delta)
     before = loaded.params["trunk.W"].copy()
-    ppo_update(loaded, _batch(loaded), update_epochs=2, learning_rate=1e-2)
+    ppo_update(loaded, _batch(loaded), RLConfig(update_epochs=2), Adam(loaded.flat, 1e-2))
     assert not np.array_equal(loaded.params["trunk.W"], before)
 
 
 def test_checkpoint_bytes_equal_json_dump_encoding(tmp_path):
     policy = _policy("ss", hidden=8)
-    ppo_update(policy, _batch(policy), update_epochs=3, learning_rate=1e-2)
+    ppo_update(policy, _batch(policy), RLConfig(update_epochs=3), Adam(policy.flat, 1e-2))
     config = RLConfig(d_e=2, d_t=2, hidden=8)
     path = tmp_path / "ck.json"
     save_checkpoint(policy, path, config=config, step=9)

@@ -76,7 +76,9 @@ def test_flatten_rejects_nonfinite():
     f_rv=st.booleans(), e_s=st.booleans(), f_sv=st.booleans(),
     seed=st.integers(0, 2**31),
 )
-def test_split_inverts_flatten(d_t, d_e, d_v, f_rv, e_s, f_sv, seed):
+def test_segment_dims_slice_flatten(d_t, d_e, d_v, f_rv, e_s, f_sv, seed):
+    """Slicing a flattened state by segment_dims() in order recovers each
+    segment exactly."""
     layout = StateLayout(d_t=d_t, d_e=d_e, d_v=d_v, include_f_rv=f_rv,
                          include_e_s=e_s, include_f_sv=f_sv)
     rng = np.random.default_rng(seed)
@@ -89,16 +91,11 @@ def test_split_inverts_flatten(d_t, d_e, d_v, f_rv, e_s, f_sv, seed):
         segs["f_sv"] = rng.standard_normal(d_v)
     state = layout.flatten(**segs)
     assert state.shape == (layout.size,)
-    back = layout.split(state)
+    dims = layout.segment_dims()
+    back = dict(zip(dims, np.split(state, np.cumsum(list(dims.values()))[:-1])))
     assert back["sep"].tolist() == [0.0]
     for name, seg in segs.items():
         np.testing.assert_array_equal(back[name], seg)
-
-
-def test_split_rejects_wrong_size():
-    layout = StateLayout(d_t=2, d_e=2)
-    with pytest.raises(ValueError):
-        layout.split(np.zeros(4))
 
 
 # -- SS action -------------------------------------------------------------

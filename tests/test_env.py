@@ -229,6 +229,12 @@ def test_rewards_telescope_to_net_improvement():
         assert abs(total - (fused - sc0)) <= 1e-9
 
 
+def _segments(layout, state):
+    """The named segments of a flattened state, sliced by segment_dims()."""
+    dims = layout.segment_dims()
+    return dict(zip(dims, np.split(state, np.cumsum(list(dims.values()))[:-1])))
+
+
 def test_posterior_segments_present_when_enabled():
     layout = StateLayout(d_t=3, d_e=4, d_v=8, include_f_rv=True,
                          include_e_s=True, include_f_sv=True)
@@ -236,14 +242,14 @@ def test_posterior_segments_present_when_enabled():
     p = _profile(env)
     f_t = np.ones(3)
     state = env.reset(p, f_t)
-    segs = layout.split(state)
+    segs = _segments(layout, state)
     s_s = env.synth(f_t, p.refs[0])
     np.testing.assert_allclose(segs["e_s"], env.E_post @ s_s, atol=1e-12)
     np.testing.assert_allclose(segs["f_sv"], env.V @ s_s, atol=1e-12)
     np.testing.assert_allclose(segs["f_rv"], env.V @ s_s, atol=1e-12)
     # the prior voiceprint is frozen at reset while posteriors track e
     tr = env.step(SSAction(np.ones(4)))
-    segs2 = layout.split(tr.next_state)
+    segs2 = _segments(layout, tr.next_state)
     np.testing.assert_array_equal(segs2["f_rv"], segs["f_rv"])
     assert not np.array_equal(segs2["e_s"], segs["e_s"])
 
@@ -424,7 +430,7 @@ def test_oracle_zoom_refines_monotonically():
     p = env.make_profile(0, substream(13, "corpus"), k=1)
     f_t = env.f_t_cal
     _, coarse = oracle_best(env, p, f_t, (-0.3, 0.3, 21))
-    _, fine = oracle_zoom(env, p, f_t, -0.3, 0.3, points=21, rounds=4)
+    _, fine = oracle_zoom(env, p, f_t, -0.3, 0.3, points=21)
     assert fine >= coarse - 1e-15
     # the refined optimum approaches the true one
     assert fine <= env.fused(env.f_t_cal, p.true_embedding, p) + 1e-9

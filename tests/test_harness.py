@@ -79,6 +79,12 @@ def test_gen_corpus_count_contract(tmp_path):
 def test_gen_corpus_validates_sizes(tmp_path):
     with pytest.raises(ConfigError):
         gen_corpus(0, 0, 1, 2, 2, 1, tmp_path / "c.tsv")
+    # a reference spread that is not finite and >= 0 fails before any file
+    for sigma_ref in (math.nan, math.inf, -0.01):
+        with pytest.raises(ConfigError, match="sigma_ref"):
+            gen_corpus(0, 2, 1, 2, 2, 1, tmp_path / "c.tsv", sigma_ref=sigma_ref)
+    assert not (tmp_path / "c.tsv").exists()
+    gen_corpus(0, 2, 1, 2, 2, 1, tmp_path / "c.tsv", sigma_ref=0.0)
 
 
 def test_reference_spread_matches_chi_moment(tmp_path):
@@ -158,6 +164,15 @@ CORRUPT_RECORDS = [
     (lambda f: f[:4], "4 fields"),
     (lambda f: f[:1] + [f[1].replace(",", ",x", 1)] + f[2:], "e_star"),
     (lambda f: ["two"] + f[1:], "speaker id"),
+    # non-finite values parse as floats but are no embedding or text
+    (lambda f: f[:1] + ["nan," + f[1].split(",", 1)[1]] + f[2:],
+     "e_star vector 0 is not finite"),
+    (lambda f: f[:3] + ["inf," + f[3].split(",", 1)[1]] + f[4:],
+     "voiceprint vector 0 is not finite"),
+    (lambda f: f[:2] + [f[2].rsplit(",", 1)[0] + ",-1e999"] + f[3:],
+     "refs vector 0 is not finite"),
+    (lambda f: f[:4] + [f[4].rsplit(",", 1)[0] + ",-inf"],
+     "texts vector 1 is not finite"),
 ]
 
 
@@ -288,8 +303,8 @@ def test_train_draws_match_one_at_a_time_play(tmp_path, corpus, monkeypatch):
     batches = []
     update = harness.ppo_update
     monkeypatch.setattr(harness, "ppo_update",
-                        lambda policy, batch, **kw: batches.append(batch)
-                        or update(policy, batch, **kw))
+                        lambda policy, batch, *rest: batches.append(batch)
+                        or update(policy, batch, *rest))
     spec = _tiny_spec(tmp_path, corpus, train_iters=1)
     _, rows = train(spec, corpus)
     env, profiles, texts = build_env(spec, corpus)
@@ -413,13 +428,12 @@ def test_evaluate_rows_match_one_at_a_time_play(tmp_path, eval_episodes,
                            rng=substream(3, "policy-init"))
     policy.params["mean.W"] *= 100.0  # the mode action moves the embedding
     _, eval_idx = corpus.split(spec.eval_frac)
-    cfg = spec.config
     want = []
     for si in eval_idx:
         for ei in range(eval_episodes):
             ep = harness.run_episode(env, policy, profiles[si],
                                      texts[si][ei % n_texts], mode="mode")
-            want.append(harness._score_row(spec, cfg, ei, profiles[si].speaker_id,
+            want.append(harness._score_row(spec, ei, profiles[si].speaker_id,
                                            "rl", ep["final_triple"], ep["final_fused"]))
     rows = evaluate(policy, spec, corpus, variants=("rl",)).rows
     assert rows == want
@@ -545,6 +559,11 @@ def test_finetune_validates_steps(tmp_path, corpus):
     env, profiles, texts = build_env(spec, corpus)
     with pytest.raises(ConfigError):
         finetune_proxy(env, profiles[0], texts[0][0], steps=0)
+    # a step size that is not finite and >= 0 would score NaN or descend
+    for step_size in (math.nan, math.inf, -math.inf, -0.01):
+        with pytest.raises(ConfigError, match="step_size"):
+            finetune_proxy(env, profiles[0], texts[0][0], steps=5,
+                           step_size=step_size)
 
 
 # -- sweeps and ablations --------------------------------------------------
@@ -577,9 +596,8 @@ def test_sweep_emits_complete_csvs(tmp_path, corpus):
 def test_ablate_score_terms_emits_four_variants(tmp_path):
     cfg = RLConfig(d_e=3, d_t=2, k=1, hidden=8, rollout_batch=8,
                    train_iters=1, action_scale=0.1, seed=0)
-    spec = ExperimentSpec(config=cfg, scenario="ss", env_kind="tradeoff",
-                          run_id="ab", out_dir=tmp_path, eval_episodes=2,
-                          tradeoff_speakers=3, tradeoff_texts=2)
+    spec = ExperimentSpec(config=cfg, scenario="ss", run_id="ab",
+                          out_dir=tmp_path, eval_episodes=2)
     rows = harness.ablate(spec, "score_terms", None)
     names = {r["ablation"] for r in rows}
     assert names == {"sim+mos+intell", "sim+intell", "sim+mos", "sim_only"}
@@ -613,7 +631,7 @@ def test_write_read_rows_roundtrip_with_quoting(tmp_path):
                                   "columns_none"])
 def test_write_rows_bytes_equal_dictwriter(tmp_path, case):
     spec = ExperimentSpec(run_id='run "q", x')
-    rows = [harness._score_row(spec, spec.config, i, 3, "rl",
+    rows = [harness._score_row(spec, i, 3, "rl",
                                (0.1 * i, 4.5, 1e-17), -0.0 if i else 1 / 3)
             for i in range(4)]
     columns = harness.RUN_COLUMNS
@@ -717,6 +735,32 @@ def test_cli_full_pipeline(tmp_path, capsys):
                 "--config", str(cfg_path)) == 0
     out = capsys.readouterr().out
     assert "raw" in out and "sim=" in out
+
+
+def test_cli_fs_pipeline_takes_scenario_from_corpus(tmp_path, capsys):
+    """A --refs 3 corpus trains, evaluates and baselines as FS with no
+    scenario flag; the corpus decides, and --scenario is not an option."""
+    corpus_path = tmp_path / "fs.tsv"
+    assert _cli("gen-data", "--seed", "7", "--speakers", "6", "--refs", "3",
+                "--dim-e", "3", "--dim-t", "2", "--texts", "2",
+                "--out", str(corpus_path)) == 0
+    cfg_path = tmp_path / "cfg"
+    cfg_path.write_text("train_iters=2\nrollout_batch=16\nhidden=8\n")
+    assert _cli("train", "--corpus", str(corpus_path), "--out",
+                str(tmp_path / "runs"), "--run-id", "fs",
+                "--config", str(cfg_path)) == 0
+    ck = tmp_path / "runs" / "fs" / "checkpoint.json"
+    assert load_checkpoint(ck)[0].scenario == "fs"
+    assert _cli("eval", "--checkpoint", str(ck), "--corpus",
+                str(corpus_path), "--out", str(tmp_path / "eval.csv")) == 0
+    rows = read_rows(tmp_path / "eval.csv")
+    assert rows and {(r["scenario"], r["steps"]) for r in rows} == {("fs", "1")}
+    assert _cli("baseline", "--method", "raw", "--corpus", str(corpus_path),
+                "--config", str(cfg_path)) == 0
+    assert "raw" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        _cli("train", "--corpus", str(corpus_path), "--scenario", "fs")
+    assert exc.value.code == 2
 
 
 def test_cli_exit_codes(tmp_path, capsys):
