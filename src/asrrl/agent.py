@@ -184,8 +184,9 @@ def gaussian_log_prob(raw: np.ndarray, mean: np.ndarray, log_std: np.ndarray) ->
 
 def tanh_correction(raw: np.ndarray) -> np.ndarray:
     """Sum of log|d tanh(u)/du| per sample: the squash change of variables."""
-    # log(1 - tanh(u)^2) = 2*(log 2 - u - softplus(-2u)), numerically stable
-    return (2.0 * (math.log(2.0) - raw - np.logaddexp(0.0, -2.0 * raw))).sum(axis=-1)
+    # log(1 - tanh(u)^2) = 2*(log 2 - |u| - log1p(exp(-2|u|))); exp(-2|u|) <= 1
+    a = np.abs(raw)
+    return (2.0 * (math.log(2.0) - a - np.log1p(np.exp(-2.0 * a)))).sum(axis=-1)
 
 
 def action_log_prob(policy: PolicyNetwork, raw: np.ndarray, mean: np.ndarray,

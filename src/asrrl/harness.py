@@ -174,6 +174,10 @@ def load_corpus(path) -> Corpus:
         missing = set(CORPUS_META_KEYS) - set(meta)
         if missing:
             raise ConfigError(f"corpus header missing keys {sorted(missing)}")
+        for key in ("sigma_ref", "sigma_star"):
+            if not (math.isfinite(meta[key]) and meta[key] >= 0):
+                raise ConfigError(f"{path}: header {key} must be finite and >= 0, "
+                                  f"got {meta[key]!r}")
         d_e = meta["d_e"]
         profiles, texts = [], []
         for lineno, line in enumerate(fh, 2):
@@ -395,22 +399,19 @@ def train(spec: ExperimentSpec, corpus: Corpus | None = None, *,
     rng = substream(cfg.seed, "rollout")
     opt = Adam(policy.flat, cfg.learning_rate)
     steps = spec.step_budget
+    texts_arr = np.stack(texts)  # every speaker has the same number of texts
+    n_texts = texts_arr.shape[1]
     # every episode takes exactly `steps` steps
     n_episodes = -(-cfg.rollout_batch // steps)
     rows = []
     episode = 0
     diverged_streak = 0
     for _ in range(cfg.train_iters):
-        # per episode, in this order: speaker, text, then the sampling
-        # noise of each step (the draws of one-at-a-time play)
-        picks, F, noise = [], [], []
-        for _ in range(n_episodes):
-            si = train_idx[rng.integers(len(train_idx))]
-            picks.append(si)
-            F.append(texts[si][rng.integers(texts[si].shape[0])])
-            noise.append(rng.standard_normal((steps, policy.action_dim)))
-        eps = run_episodes(env, policy, [profiles[si] for si in picks],
-                           np.array(F), np.array(noise))
+        # three bulk draws, in this order: speakers, texts, sampling noise
+        picks = [train_idx[i] for i in rng.integers(len(train_idx), size=n_episodes)]
+        F = texts_arr[picks, rng.integers(n_texts, size=n_episodes)]
+        noise = rng.standard_normal((n_episodes, steps, policy.action_dim))
+        eps = run_episodes(env, policy, [profiles[si] for si in picks], F, noise)
         init, final, scores = eps["initial_fused"], eps["final_fused"], eps["final_scores"]
         diverged = final < init - 0.5 * np.abs(init)
         triples = zip(scores.sim.tolist(), scores.mos.tolist(), scores.intell.tolist())
@@ -485,12 +486,14 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
     Emits spec.eval_episodes episodes per speaker for the rl variant,
     one scored row per (speaker, text) for raw, and a grid-oracle row
     per (speaker, text) for oracle; oracle_best refuses grids too large
-    for d_e. Another variant, or rl without a policy, is a ConfigError.
+    for d_e. Another variant or split, or rl without a policy, is a ConfigError.
     """
     unknown = sorted(set(variants) - {"rl", "raw", "oracle"})
     if unknown or ("rl" in variants and policy is None):
         raise ConfigError(f"cannot evaluate {unknown or ['rl']} here: the variants are "
                           f"rl (which needs a policy), raw and oracle")
+    if split not in ("eval", "train"):
+        raise ConfigError(f"unknown split {split!r}: the splits are eval and train")
     cfg = spec.config
     env, profiles, texts = build_env(spec, corpus)
     if policy is not None and policy.layout.size != env.layout.size:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, fields
 
@@ -147,6 +148,24 @@ def test_tanh_correction_matches_naive_formula():
 
 def test_tanh_correction_stable_for_large_inputs():
     assert np.isfinite(tanh_correction(np.array([[50.0, -50.0]]))).all()
+
+
+def test_tanh_correction_matches_logaddexp_form():
+    """The |u| form agrees with 2*(log 2 - u - softplus(-2u)) to rounding,
+    one value per row and summed over a 258x16 batch, finite everywhere."""
+    def logaddexp_form(u):
+        return (2.0 * (np.log(2.0) - u - np.logaddexp(0.0, -2.0 * u))).sum(axis=-1)
+
+    points = np.array([0.0, 1e-300, -1e-300, 0.5, -0.5, 20.0, -20.0, 50.0, -50.0,
+                       400.0, -400.0, 800.0, -800.0]).reshape(-1, 1)
+    batch = np.random.default_rng(3).standard_normal((258, 16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for u in (points, batch):
+            got = tanh_correction(u)
+            assert np.isfinite(got).all()
+            np.testing.assert_allclose(got, logaddexp_form(u), rtol=1e-13, atol=1e-14)
+    assert tanh_correction(points[:3]).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_select_action_mode_deterministic_and_bounded():

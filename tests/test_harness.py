@@ -297,38 +297,60 @@ def test_run_episodes_match_run_episode(case):
 
 
 def test_train_draws_match_one_at_a_time_play(tmp_path, corpus, monkeypatch):
-    """Per episode: speaker, text, then each step's noise, from the rollout
-    stream, which the checkpoint saves in the same state; the PPO batch
-    holds one episode per row, in the order they were played."""
-    batches = []
+    """Each iteration makes three bulk draws from the rollout stream, in this
+    order: speakers, texts, then every step's noise. Episode i plays what
+    run_episode plays with noise[i] as its standard normal draws; the PPO
+    batch holds one episode per row, in draw order, and the checkpoint saves
+    the stream in the state it reached."""
+    batches, snapshots = [], []
     update = harness.ppo_update
-    monkeypatch.setattr(harness, "ppo_update",
-                        lambda policy, batch, *rest: batches.append(batch)
-                        or update(policy, batch, *rest))
-    spec = _tiny_spec(tmp_path, corpus, train_iters=1)
+
+    def recording_update(policy, batch, *rest):
+        batches.append(batch)
+        snapshots.append(policy.flat.copy())
+        return update(policy, batch, *rest)
+
+    monkeypatch.setattr(harness, "ppo_update", recording_update)
+    spec = _tiny_spec(tmp_path, corpus, train_iters=2)
     _, rows = train(spec, corpus)
     env, profiles, texts = build_env(spec, corpus)
     train_idx, _ = corpus.split(spec.eval_frac)
-    policy = PolicyNetwork(env.layout, "ss", k=1, hidden=8,
-                           rng=substream(spec.config.seed, "policy-init"))
+    policy = PolicyNetwork(env.layout, "ss", k=1, hidden=8)
+    n, steps = 6, spec.step_budget  # ceil(rollout_batch 16 / 3 steps)
+
+    class NoiseRows:
+        """Stand-in rng whose standard normal draws are given rows."""
+
+        def __init__(self, rows):
+            self.rows = iter(rows)
+
+        def standard_normal(self, size):
+            row = next(self.rows)
+            assert row.shape == (size,)
+            return row
+
     rng = substream(spec.config.seed, "rollout")
-    played = []
-    for row in rows:
-        si = train_idx[rng.integers(len(train_idx))]
-        f_t = texts[si][rng.integers(texts[si].shape[0])]
-        ep = harness.run_episode(env, policy, profiles[si], f_t, rng=rng)
-        assert row["speaker"] == profiles[si].speaker_id
-        assert abs(row["fused"] - ep["final_fused"]) <= 1e-12
-        played.append(ep)
-    (batch,) = batches
-    for field, key in (("states", "states"), ("raw_actions", "raws"),
-                       ("log_probs", "log_probs"), ("rewards", "rewards"),
-                       ("values", "values")):
-        np.testing.assert_allclose(getattr(batch, field),
-                                   np.stack([ep[key] for ep in played]),
-                                   rtol=0, atol=1e-12)
+    for it, (batch, flat) in enumerate(zip(batches, snapshots)):
+        speakers = rng.integers(len(train_idx), size=n)
+        text_idx = rng.integers(texts[0].shape[0], size=n)
+        noise = rng.standard_normal((n, steps, policy.action_dim))
+        policy.flat[:] = flat
+        played = []
+        for i, row in enumerate(rows[it * n:(it + 1) * n]):
+            si = train_idx[speakers[i]]
+            ep = harness.run_episode(env, policy, profiles[si], texts[si][text_idx[i]],
+                                     rng=NoiseRows(noise[i]))
+            assert row["speaker"] == profiles[si].speaker_id
+            assert abs(row["fused"] - ep["final_fused"]) <= 1e-12
+            played.append(ep)
+        for field, key in (("states", "states"), ("raw_actions", "raws"),
+                           ("log_probs", "log_probs"), ("rewards", "rewards"),
+                           ("values", "values")):
+            np.testing.assert_allclose(getattr(batch, field),
+                                       np.stack([ep[key] for ep in played]),
+                                       rtol=0, atol=1e-12)
     _, _, step, saved = load_checkpoint(tmp_path / "t" / "checkpoint.json")
-    assert step == len(rows) == 6
+    assert step == len(rows) == 2 * n
     assert saved.bit_generator.state == rng.bit_generator.state
 
 
@@ -455,6 +477,15 @@ def test_evaluate_rejects_variants_it_cannot_play(tmp_path, corpus):
     with pytest.raises(ValueError, match="no 'rl' rows"):
         result.mean("rl", "fused")
     assert math.isfinite(result.mean("raw", "fused"))
+
+
+def test_evaluate_rejects_unknown_split(tmp_path, corpus):
+    spec = _tiny_spec(tmp_path, corpus)
+    with pytest.raises(ConfigError, match="'evl'.*eval and train"):
+        evaluate(None, spec, corpus, split="evl", variants=("raw",))
+    for split, speakers in (("eval", {6, 7}), ("train", set(range(6)))):
+        result = evaluate(None, spec, corpus, split=split, variants=("raw",))
+        assert {r["speaker"] for r in result.rows} == speakers
 
 
 def test_evaluate_raw_fs_variant_scores_mean_init(tmp_path):
@@ -803,6 +834,17 @@ def test_cli_exit_codes(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["train", "--corpus", str(bad), "--out", str(tmp_path / "runs")])
         assert exc.value.code == 2
+    # a non-finite or negative header sigma is a config error (2) naming it
+    header, rest = corpus_path.read_text().split("\n", 1)
+    for key, bad_value in (("sigma_star", "nan"), ("sigma_star", "-5.0"),
+                           ("sigma_ref", "inf")):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(re.sub(f"{key}=\\S+", f"{key}={bad_value}", header) + "\n" + rest)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--corpus", str(bad), "--out", str(tmp_path / "runs")])
+        assert exc.value.code == 2, (key, bad_value)
+        assert f"bad.tsv: header {key}" in capsys.readouterr().err
     # missing corpus file (4)
     with pytest.raises(SystemExit) as exc:
         cli.main(["train", "--corpus", str(tmp_path / "absent.tsv")])
