@@ -169,14 +169,23 @@ def load_corpus(path) -> Corpus:
         for tok in header[2:]:
             key, _, val = tok.partition("=")
             if key not in CORPUS_META_KEYS:
-                raise ConfigError(f"unknown corpus header key {key!r}")
-            meta[key] = CORPUS_META_KEYS[key](val)
+                raise ConfigError(f"{path}:1: unknown corpus header key {key!r}")
+            kind = CORPUS_META_KEYS[key]
+            try:
+                meta[key] = kind(val)
+            except ValueError:
+                raise ConfigError(f"{path}:1: header {key}={val!r} is not "
+                                  f"{'an integer' if kind is int else 'a number'}") from None
+            least = 0 if key == "seed" else 1  # a seed may be 0, a size or count not
+            if kind is int and meta[key] < least:
+                raise ConfigError(f"{path}:1: header {key} must be >= {least}, "
+                                  f"got {meta[key]}")
         missing = set(CORPUS_META_KEYS) - set(meta)
         if missing:
-            raise ConfigError(f"corpus header missing keys {sorted(missing)}")
+            raise ConfigError(f"{path}:1: corpus header missing keys {sorted(missing)}")
         for key in ("sigma_ref", "sigma_star"):
             if not (math.isfinite(meta[key]) and meta[key] >= 0):
-                raise ConfigError(f"{path}: header {key} must be finite and >= 0, "
+                raise ConfigError(f"{path}:1: header {key} must be finite and >= 0, "
                                   f"got {meta[key]!r}")
         d_e = meta["d_e"]
         profiles, texts = [], []

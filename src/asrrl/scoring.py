@@ -42,13 +42,14 @@ def _check_range(kind: str, value: float) -> float:
 
 
 def check_ranges(parts: dict[str, np.ndarray]) -> None:
-    """_check_range over whole arrays of scores, keyed by kind; the first
-    bad value of a kind raises with the scalar message."""
+    """_check_range over whole arrays of scores, keyed by kind; the first bad
+    value of a kind raises with the scalar message. An empty array passes."""
     for kind, values in parts.items():
         lo, hi = SCORE_RANGES[kind]
-        ok = (values >= lo) & (values <= hi)
-        if not ok.all():
-            _check_range(kind, values[~ok][0])
+        # NaN anywhere makes both reductions NaN and fails; ufuncs skip ndarray.min's wrapper
+        if values.size and not (np.minimum.reduce(values) >= lo
+                                and np.maximum.reduce(values) <= hi):
+            _check_range(kind, values[~((values >= lo) & (values <= hi))][0])
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,9 @@
 """Synthetic environments, the episode contract, and the grid oracle."""
 
+import math
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -81,8 +85,8 @@ def test_sim_is_one_at_optimum_on_calibration_text():
 def test_shell_scores_inside_radii():
     env = _env(seed=9)
     p = _profile(env)
-    e = p.true_embedding  # well inside both shells by construction
-    assert np.linalg.norm(e) <= min(env.r_mos, env.r_in)
+    e = p.true_embedding  # well inside the shell by construction
+    assert np.linalg.norm(e) <= env.r_shell
     t = env.score_state(env.f_t_cal, e, p)
     assert t.mos == 5.0 and t.intell == 0.0
 
@@ -124,6 +128,85 @@ def test_fused_batch_matches_scalar_fused(kind, toggles):
         scalar = [env.fused(f_t, e, p) for e in E]
         np.testing.assert_allclose(env.fused_batch(f_t, E, p), scalar,
                                    rtol=0, atol=2e-15)
+
+
+def _reference_triple_batch(env, F, E, target):
+    """score_rows' (sim, mos, intell) in the allocating form: a where-masked
+    cosine under errstate and one exp per shell score."""
+    vp = env.synth(F, E).dot(env.V.T)
+    nv = np.sqrt((vp * vp).sum(axis=1))
+    if target.ndim == 1:
+        dot, nt = vp.dot(target), math.sqrt(target.dot(target))
+    else:
+        dot, nt = np.einsum("ij,ij->i", vp, target), np.sqrt((target * target).sum(axis=1))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cos = dot / (nv * nt)
+    cos = np.where((nv == 0) | (nt == 0), 0.0, np.minimum(np.maximum(cos, -1.0), 1.0))
+    excess = np.maximum(0.0, np.sqrt((E * E).sum(axis=1)) - env.r_shell)
+    return ((1.0 + cos) / 2.0, 5.0 * np.exp(-env.SHELL_RATE * excess),
+            1.0 - np.exp(-env.SHELL_RATE * excess))
+
+
+@pytest.mark.parametrize("d_e", [1, 3, 16])
+@pytest.mark.parametrize("rows", [1, 7, 86, 16_384])
+@pytest.mark.parametrize("per_row", [False, True])
+def test_score_rows_is_the_reference_formula_bitwise(d_e, rows, per_row):
+    env = SyntheticVoiceEnv(d_e=d_e, d_t=3, seed=6)
+    rng = substream(6, "score-rows")
+    profiles = [env.make_profile(i, rng, k=1) for i in range(rows if per_row else 1)]
+    # rows inside and well outside the shell, and the origin
+    E = profiles[0].refs[0] + rng.choice([0.01, 0.1, 1.0], (rows, 1)) * rng.standard_normal(
+        (rows, d_e))
+    E[rows // 2] = 0.0
+    if per_row:
+        F = rng.standard_normal((rows, env.d_t))
+        target = np.stack([p.target_voiceprint for p in profiles])
+        fused = fuse_scores(env.score_rows(F, E, target), env.weights)
+    else:
+        F, target = rng.standard_normal(env.d_t), profiles[0].target_voiceprint
+        fused = env.fused_batch(F, E, profiles[0])
+    got = env.score_rows(F, E, target)
+    want = _reference_triple_batch(env, F, E, target)
+    for kind, w in zip(("sim", "mos", "intell"), want):
+        assert getattr(got, kind).tobytes() == w.tobytes(), kind
+    want_fused = fuse_scores(SimpleNamespace(sim=want[0], mos=want[1], intell=want[2]),
+                             env.weights)
+    assert fused.tobytes() == want_fused.tobytes()
+
+
+def test_score_state_is_the_two_exp_shell_bitwise():
+    for d_e in (1, 3, 16):
+        env = SyntheticVoiceEnv(d_e=d_e, d_t=3, seed=6)
+        rng = substream(d_e, "score-state")
+        p = env.make_profile(0, rng, k=1)
+        for scale in (0.0, 0.01, 0.1, 1.0):
+            e = p.refs[0] + scale * rng.standard_normal(d_e)
+            f_t = rng.standard_normal(env.d_t)
+            t = env.score_state(f_t, e, p)
+            excess = np.maximum(0.0, math.sqrt(e.dot(e)) - env.r_shell)
+            want = (cosine_similarity_score(env.voiceprint(f_t, e), p.target_voiceprint),
+                    5.0 * np.exp(-env.SHELL_RATE * excess),
+                    1.0 - np.exp(-env.SHELL_RATE * excess))
+            assert [float(x).hex() for x in t] == [float(x).hex() for x in want]
+
+
+def test_score_rows_zero_norm_targets_score_one_half_without_warnings():
+    env = _env(seed=9)
+    rng = substream(9, "zero-norm")
+    E = 0.1 * rng.standard_normal((5, 4))
+    F = rng.standard_normal((5, 3))
+    targets = rng.standard_normal((5, env.d_v))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plain = env.score_rows(F, E, targets)
+        # every row against one zero target
+        zero = env.score_rows(F[0], E, np.zeros(env.d_v))
+        # one zero row among per-row targets; the other rows score as usual
+        targets[2] = 0.0
+        mixed = env.score_rows(F, E, targets)
+    assert (zero.sim == 0.5).all()
+    assert mixed.sim[2] == 0.5 and plain.sim[2] != 0.5
+    assert np.delete(mixed.sim, 2).tobytes() == np.delete(plain.sim, 2).tobytes()
 
 
 def test_make_profile_counts_and_spread():
@@ -357,7 +440,7 @@ def test_out_of_range_plugin_raises_from_batch_paths():
 # -- grid oracle -----------------------------------------------------------
 
 def test_oracle_recovers_known_optimum_1d():
-    env = SyntheticVoiceEnv(d_e=1, d_t=2, seed=7, r_mos=1.0, r_in=1.0)
+    env = SyntheticVoiceEnv(d_e=1, d_t=2, seed=7, r_shell=1.0)
     e_star = np.array([0.3])
     target = env.voiceprint(env.f_t_cal, e_star)
     p = SpeakerProfile(0, e_star, np.array([[0.1]]), target)

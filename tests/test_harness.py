@@ -119,7 +119,7 @@ def test_corpus_header_rebuilds_the_generating_env(tmp_path, monkeypatch):
     assert len(built) == 1
     corpus = load_corpus(tmp_path / "h.tsv")
     env, _, _ = build_env(_tiny_spec(tmp_path, corpus), corpus)
-    for name in ("W1", "W2", "b", "V", "E_post", "mu", "f_t_cal", "r_mos", "r_in"):
+    for name in ("W1", "W2", "b", "V", "E_post", "mu", "f_t_cal", "r_shell"):
         want = np.asarray(getattr(built[0], name))
         got = np.asarray(getattr(env, name))
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
@@ -834,17 +834,20 @@ def test_cli_exit_codes(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["train", "--corpus", str(bad), "--out", str(tmp_path / "runs")])
         assert exc.value.code == 2
-    # a non-finite or negative header sigma is a config error (2) naming it
+    # a header value that does not parse, a non-finite or negative sigma, a
+    # dimension or count below 1 or a negative seed is a config error (2)
+    # naming path:1 and the key
     header, rest = corpus_path.read_text().split("\n", 1)
     for key, bad_value in (("sigma_star", "nan"), ("sigma_star", "-5.0"),
-                           ("sigma_ref", "inf")):
+                           ("sigma_ref", "inf"), ("sigma_ref", "abc"), ("d_e", "abc"),
+                           ("d_e", "2.5"), ("d_v", "-3"), ("k", "0"), ("seed", "-1")):
         bad = tmp_path / "bad.tsv"
         bad.write_text(re.sub(f"{key}=\\S+", f"{key}={bad_value}", header) + "\n" + rest)
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             cli.main(["train", "--corpus", str(bad), "--out", str(tmp_path / "runs")])
         assert exc.value.code == 2, (key, bad_value)
-        assert f"bad.tsv: header {key}" in capsys.readouterr().err
+        assert f"bad.tsv:1: header {key}" in capsys.readouterr().err
     # missing corpus file (4)
     with pytest.raises(SystemExit) as exc:
         cli.main(["train", "--corpus", str(tmp_path / "absent.tsv")])

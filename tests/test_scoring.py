@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from asrrl.scoring import (
     RewardWeights,
+    SCORE_RANGES,
     ScoreContext,
     ScoreRangeError,
     ScoreTriple,
@@ -70,6 +71,28 @@ def test_triple_rejects_out_of_range():
                 ScoreTriple(**{**good, kind: bad})
             with pytest.raises(ScoreRangeError, match=f"{kind} score {bad} outside"):
                 check_ranges({kind: np.array([good[kind], bad, good[kind]])})
+
+
+def test_check_ranges_is_the_four_op_check():
+    # the reference: a value passes when lo <= value and value <= hi, and
+    # the first value that does not is the one named
+    rng = np.random.default_rng(3)
+    kinds = ("sim", "mos", "intell")
+    specials = (float("nan"), float("inf"), float("-inf"), -0.1, 5.5, 1.5, -0.0)
+    for _ in range(300):
+        kind = kinds[rng.integers(3)]
+        lo, hi = SCORE_RANGES[kind]
+        values = rng.uniform(lo, hi, rng.integers(0, 9))
+        for i in rng.integers(0, max(len(values), 1), rng.integers(0, 3)):
+            if len(values):
+                values[i] = specials[rng.integers(len(specials))]
+        ok = (values >= lo) & (values <= hi)
+        if ok.all():
+            check_ranges({kind: values})
+        else:
+            with pytest.raises(ScoreRangeError,
+                               match=f"^{kind} score {values[~ok][0]} outside"):
+                check_ranges({kind: values})
 
 
 @settings(max_examples=300, deadline=None)
