@@ -161,7 +161,10 @@ def run(argv=None) -> int:
         return EXIT_OK
 
     if args.command == "sweep":
-        values = [float(v) for v in args.values.split(",") if v != ""]
+        try:
+            values = [float(v) for v in args.values.split(",") if v != ""]
+        except ValueError as exc:  # float names the token
+            raise ConfigError(f"--values: {exc}") from None
         sweep(spec, args.axis, values, corpus)
         run_dir = Path(spec.out_dir) / spec.run_id
         print(f"wrote {run_dir / f'sweep_{args.axis}.csv'}")

@@ -240,6 +240,8 @@ class RLConfig:
             raise ValueError("update_epochs and rollout_batch must be >= 1")
         if self.d_e < 1 or self.d_t < 1 or self.k < 1 or self.hidden < 1:
             raise ValueError("dimensions d_e, d_t, k, hidden must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got seed={self.seed}")
         if self.train_iters < 0:
             raise ValueError(f"train_iters must be >= 0, got {self.train_iters}")
         if self.encoder not in ("segments", "mlp"):

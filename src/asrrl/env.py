@@ -1,6 +1,7 @@
 """Seeded synthetic environments and the brute-force grid oracle.
 
-Two environments share one episode contract (reset / step / score_state):
+Two environments share one scoring entry (score_rows, for one embedding
+or a batch of rows) and the episode helpers that run_episodes plays on:
 
 * SyntheticVoiceEnv — a frozen random "TTS model" with a hidden optimal
   embedding per speaker. Speech is a feature vector s = tanh(W1 f_t +
@@ -70,11 +71,11 @@ def _sigmoid(x):
 class _EnvBase:
     """Episode mechanics shared by both synthetic environments.
 
-    Subclasses provide score components via ``_triple`` /
-    ``_triple_batch`` and speech synthesis via ``synth``. The stateless
-    helpers (``state``, ``prior_voiceprint``, ``move``, ``score_rows``)
-    take one episode's vectors or (N, .) row batches, so the scalar
-    ``reset``/``step`` protocol and lockstep rollouts share them.
+    Subclasses provide score components via ``_triple`` (one embedding) /
+    ``_triple_batch`` (rows) and speech synthesis via ``synth``. The
+    stateless helpers (``state``, ``prior_voiceprint``, ``move``,
+    ``score_rows``) take one episode's vectors or (N, .) row batches;
+    harness.run_episodes and the reset/step protocol play on them.
     """
 
     def __init__(self, layout: StateLayout, scenario: str, step_budget: int | None,
@@ -103,7 +104,7 @@ class _EnvBase:
     def synth(self, f_t: np.ndarray, e: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _triple(self, f_t, e, profile) -> ScoreTriple:
+    def _triple(self, f_t, e, target) -> ScoreTriple:
         raise NotImplementedError
 
     def _triple_batch(self, f_t, E, target):
@@ -124,21 +125,9 @@ class _EnvBase:
             raise ValueError(f"FS scenario needs k >= 2 references, got {k}")
 
     # -- scoring -----------------------------------------------------------
-    # score_state is the one-row twin of score_rows and stays scalar: a mode
-    # episode played by run_episodes as a batch of one takes 1.55-1.57x a scalar
-    # one (1.60-1.66x before score_rows' per-call trim; medians of 15 alternations
-    # per process), which would cut perfbench scored_eval's unscored rate by a third.
     def score_state(self, f_t: np.ndarray, e: np.ndarray,
                     profile: SpeakerProfile) -> ScoreTriple:
-        triple = self._triple(f_t, e, profile)
-        if self.scorers:
-            ctx = ScoreContext(target_voiceprint=profile.target_voiceprint)
-            s_s = self.synth(f_t, e)
-            parts = {"sim": triple.sim, "mos": triple.mos, "intell": triple.intell}
-            for kind, scorer in self.scorers.items():
-                parts[kind] = score_speech(scorer, s_s, ctx)
-            triple = ScoreTriple(**parts)
-        return triple
+        return self.score_rows(f_t, e, profile.target_voiceprint)
 
     def fused(self, f_t, e, profile: SpeakerProfile) -> float:
         return fuse_scores(self.score_state(f_t, e, profile), self.weights)
@@ -149,11 +138,20 @@ class _EnvBase:
         return fuse_scores(self.score_rows(f_t, E, profile.target_voiceprint),
                            self.weights)
 
-    def score_rows(self, F: np.ndarray, E: np.ndarray,
-                   targets: np.ndarray) -> SimpleNamespace:
-        """Score arrays (sim, mos, intell) of the N rows of E, for one F and
-        target or one per row, under score_state's rules: each plug-in scores
-        every row through score_speech; out of range raises ScoreRangeError."""
+    def score_rows(self, F: np.ndarray, E: np.ndarray, targets: np.ndarray):
+        """Scores of one embedding E (d_e,) as a ScoreTriple, or (sim, mos, intell)
+        arrays of the N rows of E (N, d_e), for one text F and target or one per
+        row. Plug-ins replace their kind through score_speech; a score out of
+        range raises ScoreRangeError."""
+        if E.ndim == 1:  # the scalar kernel: under half the time of a one-row batch
+            triple = self._triple(F, E, targets)
+            if not self.scorers:
+                return triple
+            ctx, s_s = ScoreContext(target_voiceprint=targets), self.synth(F, E)
+            parts = {"sim": triple.sim, "mos": triple.mos, "intell": triple.intell}
+            for kind, scorer in self.scorers.items():
+                parts[kind] = score_speech(scorer, s_s, ctx)
+            return ScoreTriple(**parts)
         sim, mos, intell = self._triple_batch(F, E, targets)
         parts = {"sim": sim, "mos": mos, "intell": intell}
         check_ranges(parts)
@@ -335,9 +333,9 @@ class SyntheticVoiceEnv(_EnvBase):
         decay = np.exp(-self.SHELL_RATE * np.maximum(0.0, e_norm - self.r_shell))
         return 5.0 * decay, 1.0 - decay
 
-    def _triple(self, f_t, e, profile) -> ScoreTriple:
+    def _triple(self, f_t, e, target) -> ScoreTriple:
         vp = self.voiceprint(f_t, e)
-        sim = cosine_similarity_score(vp, profile.target_voiceprint)
+        sim = cosine_similarity_score(vp, target)
         mos, intell = self._shell_scores(math.sqrt(e.dot(e)))
         return ScoreTriple(sim=sim, mos=float(mos), intell=float(intell))
 
@@ -407,7 +405,7 @@ class TradeoffEnv(_EnvBase):
         intell = 1.0 - np.exp(-excess)
         return sim, mos, intell
 
-    def _triple(self, f_t, e, profile) -> ScoreTriple:
+    def _triple(self, f_t, e, target) -> ScoreTriple:
         sim, mos, intell = self._scores_from_proj(float(self.w @ np.asarray(e, dtype=np.float64)))
         return ScoreTriple(sim=float(sim), mos=float(mos), intell=float(intell))
 

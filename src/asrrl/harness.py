@@ -24,7 +24,7 @@ from .agent import (
     load_checkpoint,
     ppo_update,
     save_checkpoint,
-    select_action,
+    select_action,  # not called here: perfbench's tracer wraps harness.select_action
 )
 from .core import RLConfig, StateLayout, mean_init
 from .env import (EpisodeError, SpeakerProfile, SyntheticVoiceEnv, TradeoffEnv,
@@ -125,6 +125,8 @@ def gen_corpus(seed: int, n_speakers: int, k_refs: int, d_e: int, d_t: int,
             raise ConfigError(f"{name} must be >= 1, got {n}")
     if not (math.isfinite(sigma_ref) and sigma_ref >= 0):
         raise ConfigError(f"sigma_ref must be finite and >= 0, got {sigma_ref}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     path = Path(path)
     if path.exists() and not force:
         raise FileExistsError(f"{path} exists; pass force=True / --force to overwrite")
@@ -170,6 +172,8 @@ def load_corpus(path) -> Corpus:
             key, _, val = tok.partition("=")
             if key not in CORPUS_META_KEYS:
                 raise ConfigError(f"{path}:1: unknown corpus header key {key!r}")
+            if key in meta:
+                raise ConfigError(f"{path}:1: header key {key!r} repeated")
             kind = CORPUS_META_KEYS[key]
             try:
                 meta[key] = kind(val)
@@ -202,6 +206,9 @@ def load_corpus(path) -> Corpus:
                 sid = int(sid)
             except ValueError:
                 raise ConfigError(f"{where}: speaker id {sid!r} is not an integer") from None
+            if sid != len(profiles):
+                raise ConfigError(f"{where}: speaker id {sid} at record {len(profiles)}; "
+                                  f"ids must number the records from 0")
             profiles.append(SpeakerProfile(
                 sid,
                 _parse_rows(e_star, 1, d_e, where, "e_star")[0],
@@ -323,66 +330,53 @@ def _score_row(spec, episode, speaker, variant, triple, fused):
 
 def run_episode(env, policy: PolicyNetwork | None, profile, f_t, *,
                 rng=None, mode="sample"):
-    """Play one episode; returns per-step arrays plus the final scores.
-
-    Step budgets are >= 1, so the final scores always come from a step.
-    """
-    state = env.reset(profile, f_t)
-    sc0 = env.initial_fused
-    states, raws, lps, rewards, values = [], [], [], [], []
-    done = False
-    while not done:
-        action, lp, value, raw = select_action(policy, state, rng=rng, mode=mode)
-        tr = env.step(action)
-        states.append(state)
-        raws.append(raw)
-        lps.append(lp)
-        rewards.append(tr.reward)
-        values.append(value)
-        state = tr.next_state
-        triple, fused, done = tr.score, tr.fused, tr.done
-    return {
-        "states": np.array(states), "raws": np.array(raws),
-        "log_probs": np.array(lps), "rewards": np.array(rewards),
-        "values": np.array(values),
-        "initial_fused": sc0, "final_fused": fused, "final_triple": triple,
-    }
+    """One episode of run_episodes, with zero noise for mode="mode" or, for
+    "sample", one rng.standard_normal((steps, action_dim)) draw: the stream
+    that select_action draws step by step."""
+    if mode not in ("sample", "mode"):
+        raise ValueError(f"mode must be 'sample' or 'mode', got {mode!r}")
+    if mode == "sample" and rng is None:
+        raise ValueError("sampling requires an rng")
+    shape = (env.step_budget, policy.action_dim)
+    noise = np.zeros(shape) if mode == "mode" else rng.standard_normal(shape)
+    return run_episodes(env, policy, profile.refs, profile.target_voiceprint, f_t, noise)
 
 
-def run_episodes(env, policy: PolicyNetwork, profiles, F, noise):
-    """Play N sampled episodes in lockstep: one batched policy forward and
-    one batched score per step.
-
-    Row i is the episode run_episode(env, policy, profiles[i], F[i], rng=)
-    plays when its rng's standard normal draws are noise[i], of shape
-    (step_budget, action_dim). Returns run_episode's keys with per-step
-    arrays of shape (N, step_budget, ...), (N,) initial and final fused
-    scores, and the final (sim, mos, intell) arrays as "final_scores".
+def run_episodes(env, policy: PolicyNetwork, refs, targets, F, noise):
+    """Play one episode, or N in lockstep, with one policy forward and one
+    score_rows call per step. One episode takes refs (k, d_e), a target
+    (d_v,), a text (d_t,) and noise (steps, action_dim); N take each with a
+    leading N axis. Step t's raw action is mean + exp(log_std) * noise[..., t, :].
+    Returns the per-step "states", "raws", "log_probs", "rewards" and "values"
+    as ([N,] steps, ...) arrays, and "initial_fused", "final_fused" and
+    "final_scores": floats and a ScoreTriple for one episode, (N,) arrays for N.
     """
     if policy.scenario != env.scenario:
         raise EpisodeError(f"{policy.scenario} policy in a {env.scenario} environment")
-    n, steps = len(profiles), env.step_budget
-    if noise.shape != (n, steps, policy.action_dim):
-        raise ValueError(f"noise has shape {noise.shape}, expected "
-                         f"{(n, steps, policy.action_dim)}")
-    refs = np.stack([p.refs for p in profiles])
-    env.check_refs(refs.shape[1])
-    targets = np.stack([p.target_voiceprint for p in profiles])
+    env.check_refs(refs.shape[-2])
     E = mean_init(refs)
+    lead, steps = E.shape[:-1], env.step_budget
+    if noise.shape != lead + (steps, policy.action_dim):
+        raise ValueError(f"noise has shape {noise.shape}, expected "
+                         f"{lead + (steps, policy.action_dim)}")
     f_rv = env.prior_voiceprint(F, E)
     sc0 = sc = fuse_scores(env.score_rows(F, E, targets), env.weights)
     per_step = []
     for t in range(steps):
         states = env.state(F, E, f_rv)
         mean, log_std, values, _ = policy.forward(states)
-        raws = mean + np.exp(log_std) * noise[:, t]
+        # forward gives (rows, .) outputs; one episode drops the row axis
+        mean, values = mean.reshape(lead + mean.shape[1:]), values.reshape(lead)
+        raws = mean + np.exp(log_std) * noise[..., t, :]
         E = env.move(E, refs, np.tanh(raws) if env.scenario == "ss" else raws)
         scores = env.score_rows(F, E, targets)
         sc_prev, sc = sc, fuse_scores(scores, env.weights)
         per_step.append({"states": states, "raws": raws,
                          "log_probs": action_log_prob(policy, raws, mean, log_std),
                          "rewards": sc - sc_prev, "values": values})
-    return {**{k: np.stack([s[k] for s in per_step], axis=1) for k in per_step[0]},
+    # step-major, then ([N,] steps, ...); np.stack costs 5x np.array on one episode
+    return {**{k: np.ascontiguousarray(np.array([s[k] for s in per_step]).swapaxes(0, len(lead)))
+               for k in per_step[0]},
             "initial_fused": sc0, "final_fused": sc, "final_scores": scores}
 
 
@@ -409,6 +403,8 @@ def train(spec: ExperimentSpec, corpus: Corpus | None = None, *,
     opt = Adam(policy.flat, cfg.learning_rate)
     steps = spec.step_budget
     texts_arr = np.stack(texts)  # every speaker has the same number of texts
+    refs = np.stack([p.refs for p in profiles])
+    targets = np.stack([p.target_voiceprint for p in profiles])
     n_texts = texts_arr.shape[1]
     # every episode takes exactly `steps` steps
     n_episodes = -(-cfg.rollout_batch // steps)
@@ -420,7 +416,7 @@ def train(spec: ExperimentSpec, corpus: Corpus | None = None, *,
         picks = [train_idx[i] for i in rng.integers(len(train_idx), size=n_episodes)]
         F = texts_arr[picks, rng.integers(n_texts, size=n_episodes)]
         noise = rng.standard_normal((n_episodes, steps, policy.action_dim))
-        eps = run_episodes(env, policy, [profiles[si] for si in picks], F, noise)
+        eps = run_episodes(env, policy, refs[picks], targets[picks], F, noise)
         init, final, scores = eps["initial_fused"], eps["final_fused"], eps["final_scores"]
         diverged = final < init - 0.5 * np.abs(init)
         triples = zip(scores.sim.tolist(), scores.mos.tolist(), scores.intell.tolist())
@@ -526,7 +522,7 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
                 f_t = spk_texts[ei % n_texts]
                 ep = run_episode(env, policy, profile, f_t, mode="mode")
                 rows.append(_score_row(spec, ei, profile.speaker_id, "rl",
-                                       ep["final_triple"], ep["final_fused"]))
+                                       ep["final_scores"], ep["final_fused"]))
         for ti in range(n_texts):
             f_t = spk_texts[ti]
             if "raw" in variants:

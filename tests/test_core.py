@@ -222,6 +222,12 @@ def test_config_validation_rejects(bad):
         RLConfig(**bad).validate()
 
 
+def test_config_validation_names_a_negative_seed():
+    with pytest.raises(ValueError, match="seed=-1"):
+        RLConfig(seed=-1).validate()
+    RLConfig(seed=0).validate()
+
+
 def test_config_float_settings_are_the_float_fields():
     assert FLOAT_SETTINGS == ["gamma", "lambda1", "lambda2", "action_scale",
                               "gae_lambda", "clip_epsilon", "learning_rate",

@@ -6,10 +6,12 @@ import socket
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import asrrl
 from asrrl.external_scorer import ExternalScorerClient
 from asrrl.scoring import ScoreContext, ScoreRangeError, ScorerFault
 
@@ -154,8 +156,10 @@ def test_unknown_kind_rejected():
         ExternalScorerClient(None, None, kind="loudness")
 
 
-SERVER_SCRIPT = """
+# the server imports the asrrl these tests import, with or without PYTHONPATH
+SERVER_SCRIPT = f"""
 import sys
+sys.path.insert(0, {str(Path(asrrl.__file__).resolve().parents[1])!r})
 from asrrl.external_scorer import serve_stdio
 
 def score(kind, speech, target, text_id):

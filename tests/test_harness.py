@@ -14,7 +14,7 @@ import pytest
 
 import asrrl.harness as harness
 from asrrl import cli
-from asrrl.agent import PolicyNetwork, load_checkpoint
+from asrrl.agent import PolicyNetwork, load_checkpoint, select_action
 from asrrl.core import RLConfig, StateLayout, mean_init
 from asrrl.env import SyntheticVoiceEnv, TradeoffEnv
 from asrrl.harness import (
@@ -33,7 +33,7 @@ from asrrl.harness import (
     train,
     write_rows,
 )
-from asrrl.scoring import ScoreRangeError, fuse_scores
+from asrrl.scoring import ScoreRangeError, cosine_similarity_score, fuse_scores
 from asrrl.seeding import substream
 
 def _tiny_spec(tmp_path, corpus, **over):
@@ -85,6 +85,14 @@ def test_gen_corpus_validates_sizes(tmp_path):
             gen_corpus(0, 2, 1, 2, 2, 1, tmp_path / "c.tsv", sigma_ref=sigma_ref)
     assert not (tmp_path / "c.tsv").exists()
     gen_corpus(0, 2, 1, 2, 2, 1, tmp_path / "c.tsv", sigma_ref=0.0)
+
+
+def test_gen_corpus_rejects_seeds_that_are_not_nonnegative_integers(tmp_path):
+    for seed in (-1, 1.5, 2.0, "3", None, True):
+        with pytest.raises(ConfigError, match="seed"):
+            gen_corpus(seed, 2, 1, 2, 2, 1, tmp_path / "c.tsv")
+    assert not (tmp_path / "c.tsv").exists()
+    assert gen_corpus(np.int64(3), 2, 1, 2, 2, 1, tmp_path / "c.tsv").meta["seed"] == 3
 
 
 def test_reference_spread_matches_chi_moment(tmp_path):
@@ -173,7 +181,11 @@ CORRUPT_RECORDS = [
      "refs vector 0 is not finite"),
     (lambda f: f[:4] + [f[4].rsplit(",", 1)[0] + ",-inf"],
      "texts vector 1 is not finite"),
+    # a second speaker 0 would merge two speakers' rows
+    (lambda f: ["0"] + f[1:], "speaker id 0 at record 2"),
 ]
+# (edit of the header line, what the ConfigError names after path:1)
+CORRUPT_HEADERS = [(lambda f: [f[0] + " d_e=4"], "header key 'd_e' repeated")]
 
 
 def _corrupt(path, edit, lineno=4):
@@ -183,11 +195,12 @@ def _corrupt(path, edit, lineno=4):
     path.write_text("\n".join(lines))
 
 
-@pytest.mark.parametrize("edit,field", CORRUPT_RECORDS)
+@pytest.mark.parametrize("edit,field", CORRUPT_RECORDS + CORRUPT_HEADERS)
 def test_load_corpus_names_line_and_field(tmp_path, corpus, edit, field):
     path = tmp_path / "c.tsv"
-    _corrupt(path, edit)
-    with pytest.raises(ConfigError, match=f"c.tsv:4: {field}"):
+    lineno = 1 if (edit, field) in CORRUPT_HEADERS else 4
+    _corrupt(path, edit, lineno)
+    with pytest.raises(ConfigError, match=f"c.tsv:{lineno}: {field}"):
         load_corpus(path)
 
 
@@ -236,15 +249,15 @@ def test_run_episode_scores_each_state_once(corpus, monkeypatch):
     policy = PolicyNetwork(env.layout, "ss", k=1, hidden=8,
                            rng=substream(0, "policy-init"))
     calls = []
-    score_state = env.score_state
-    monkeypatch.setattr(env, "score_state",
-                        lambda *a: calls.append(1) or score_state(*a))
+    score_rows = env.score_rows
+    monkeypatch.setattr(env, "score_rows",
+                        lambda *a: calls.append(1) or score_rows(*a))
     ep = harness.run_episode(env, policy, profiles[0], texts[0][0],
                              rng=substream(0, "rollout"))
-    # one score at reset, one per step
+    # one score at the start, one per step
     assert len(calls) == 1 + spec.step_budget
     assert ep["rewards"].shape == (spec.step_budget,)
-    assert ep["final_fused"] == fuse_scores(ep["final_triple"], spec.weights)
+    assert ep["final_fused"] == fuse_scores(ep["final_scores"], spec.weights)
     assert ep["rewards"].sum() == pytest.approx(
         ep["final_fused"] - ep["initial_fused"], abs=1e-12)
 
@@ -270,15 +283,72 @@ def _lockstep_case(case):
     return env, policy, profiles, rng.standard_normal((6, 3))
 
 
+def _protocol_episode(env, policy, profile, f_t, *, rng=None, mode="sample"):
+    """One episode played through env.reset / env.step / select_action,
+    with run_episode's keys: an implementation independent of run_episodes."""
+    state = env.reset(profile, f_t)
+    sc0 = env.initial_fused
+    steps = {k: [] for k in ("states", "raws", "log_probs", "rewards", "values")}
+    done = False
+    while not done:
+        action, lp, value, raw = select_action(policy, state, rng=rng, mode=mode)
+        tr = env.step(action)
+        for key, x in zip(steps, (state, raw, lp, tr.reward, value)):
+            steps[key].append(x)
+        state, done = tr.next_state, tr.done
+    return {**{k: np.array(v) for k, v in steps.items()},
+            "initial_fused": sc0, "final_fused": tr.fused, "final_scores": tr.score}
+
+
+class _VoiceprintSim:
+    """A plug-in sim scorer: the built-in cosine score of the voiceprint."""
+
+    kind = "sim"
+
+    def __init__(self, env):
+        self.env = env
+
+    def score(self, speech, context):
+        return cosine_similarity_score(self.env.V @ speech, context.target_voiceprint)
+
+
+@pytest.mark.parametrize("mode", ["mode", "sample"])
+@pytest.mark.parametrize("case", ["ss", "ss-segments", "fs", "tradeoff-ss", "ss-plugin"])
+def test_run_episode_equals_the_reset_step_protocol_bitwise(case, mode):
+    """run_episode plays bit for bit what reset/step/select_action play, on
+    every key, and leaves the rng where select_action's draws leave it."""
+    env, policy, profiles, F = _lockstep_case(case.replace("-plugin", ""))
+    if case.endswith("plugin"):
+        env.scorers = {"sim": _VoiceprintSim(env)}
+    rewards = []
+    for i, profile in enumerate(profiles):
+        rngs = [substream(i, "noise"), substream(i, "noise")]
+        got = harness.run_episode(env, policy, profile, F[i], rng=rngs[0], mode=mode)
+        want = _protocol_episode(env, policy, profile, F[i], rng=rngs[1], mode=mode)
+        assert got.keys() == want.keys()
+        for key, w in want.items():
+            g = got[key]
+            if isinstance(w, np.ndarray):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes(), key
+            else:
+                assert type(g) is type(w) and g == w, key
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+        rewards.extend(got["rewards"])
+    assert np.ptp(rewards) > 0  # the moves are real
+
+
 @pytest.mark.parametrize("case", ["ss", "ss-segments", "fs", "tradeoff-ss"])
 def test_run_episodes_match_run_episode(case):
-    """Lockstep rows equal one-at-a-time play on the same draws, and each
-    row's rewards telescope (train's episodes go through run_episodes)."""
+    """Lockstep rows, scored by the row kernel, equal one-episode play,
+    scored by the scalar kernel, on the same draws; each row's rewards
+    telescope (train's episodes go through run_episodes)."""
     env, policy, profiles, F = _lockstep_case(case)
     shape = (env.step_budget, policy.action_dim)
     noise = np.stack([substream(i, "noise").standard_normal(shape)
                       for i in range(len(profiles))])
-    eps = harness.run_episodes(env, policy, profiles, F, noise)
+    refs = np.stack([p.refs for p in profiles])
+    targets = np.stack([p.target_voiceprint for p in profiles])
+    eps = harness.run_episodes(env, policy, refs, targets, F, noise)
     assert eps["states"].shape == (len(profiles), env.step_budget, env.layout.size)
     for i, profile in enumerate(profiles):
         ep = harness.run_episode(env, policy, profile, F[i],
@@ -289,7 +359,7 @@ def test_run_episodes_match_run_episode(case):
             assert abs(eps[key][i] - ep[key]) <= 1e-12
         for kind in ("sim", "mos", "intell"):
             assert abs(getattr(eps["final_scores"], kind)[i]
-                       - getattr(ep["final_triple"], kind)) <= 1e-12
+                       - getattr(ep["final_scores"], kind)) <= 1e-12
         net = eps["final_fused"][i] - eps["initial_fused"][i]
         assert abs(math.fsum(eps["rewards"][i]) - net) <= 1e-9
     # the moves are real: the embedding leaves its start
@@ -318,16 +388,16 @@ def test_train_draws_match_one_at_a_time_play(tmp_path, corpus, monkeypatch):
     policy = PolicyNetwork(env.layout, "ss", k=1, hidden=8)
     n, steps = 6, spec.step_budget  # ceil(rollout_batch 16 / 3 steps)
 
-    class NoiseRows:
-        """Stand-in rng whose standard normal draws are given rows."""
+    class NoiseBlock:
+        """Stand-in rng whose one standard normal draw is a given block."""
 
-        def __init__(self, rows):
-            self.rows = iter(rows)
+        def __init__(self, block):
+            self.blocks = iter([block])
 
         def standard_normal(self, size):
-            row = next(self.rows)
-            assert row.shape == (size,)
-            return row
+            block = next(self.blocks)
+            assert block.shape == size
+            return block
 
     rng = substream(spec.config.seed, "rollout")
     for it, (batch, flat) in enumerate(zip(batches, snapshots)):
@@ -339,7 +409,7 @@ def test_train_draws_match_one_at_a_time_play(tmp_path, corpus, monkeypatch):
         for i, row in enumerate(rows[it * n:(it + 1) * n]):
             si = train_idx[speakers[i]]
             ep = harness.run_episode(env, policy, profiles[si], texts[si][text_idx[i]],
-                                     rng=NoiseRows(noise[i]))
+                                     rng=NoiseBlock(noise[i]))
             assert row["speaker"] == profiles[si].speaker_id
             assert abs(row["fused"] - ep["final_fused"]) <= 1e-12
             played.append(ep)
@@ -456,7 +526,7 @@ def test_evaluate_rows_match_one_at_a_time_play(tmp_path, eval_episodes,
             ep = harness.run_episode(env, policy, profiles[si],
                                      texts[si][ei % n_texts], mode="mode")
             want.append(harness._score_row(spec, ei, profiles[si].speaker_id,
-                                           "rl", ep["final_triple"], ep["final_fused"]))
+                                           "rl", ep["final_scores"], ep["final_fused"]))
     rows = evaluate(policy, spec, corpus, variants=("rl",)).rows
     assert rows == want
     assert len({r["fused"] for r in rows}) > 1
@@ -863,6 +933,34 @@ def test_cli_exit_codes(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["eval", "--checkpoint", str(ck), "--corpus", str(corpus_path)])
         assert exc.value.code == 4, ck.name
+
+
+def test_cli_negative_seeds_and_bad_sweep_values_are_named(tmp_path, capsys):
+    """A negative seed from gen-data, train or a config line, and a sweep
+    value that is not a number, exit 2 naming the setting and the value."""
+    corpus_path = tmp_path / "c.tsv"
+
+    def exit_2(*argv):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2, argv
+        return capsys.readouterr().err
+
+    assert "seed must be a non-negative integer, got -1" in exit_2(
+        "gen-data", "--seed", "-1", "--speakers", "3", "--refs", "1", "--dim-e", "2",
+        "--dim-t", "2", "--out", str(corpus_path))
+    assert not corpus_path.exists()
+    _cli("gen-data", "--seed", "1", "--speakers", "3", "--refs", "1",
+         "--dim-e", "2", "--dim-t", "2", "--out", str(corpus_path))
+    runs = ["--corpus", str(corpus_path), "--out", str(tmp_path / "runs")]
+    assert "seed=-1" in exit_2("train", "--seed", "-1", *runs)
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text("train_iters=1\nseed = -2\n")
+    assert "seed=-2" in exit_2("train", "--config", str(cfg_path), *runs)
+    err = exit_2("sweep", "--axis", "gamma", "--values", "0.1,abc", *runs)
+    assert "--values" in err and "'abc'" in err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_cli_config_lambdas_reach_the_reward(tmp_path):
