@@ -11,17 +11,15 @@ import sys
 from pathlib import Path
 
 from .agent import CheckpointError
-from .core import RLConfig, mean_init
+from .core import RLConfig
 from .harness import (
     SWEEP_AXES,
     ConfigError,
     DivergenceError,
     ExperimentSpec,
     ablate,
-    build_env,
     evaluate,
     evaluate_checkpoint,
-    finetune_proxy,
     gen_corpus,
     load_corpus,
     parse_config_file,
@@ -98,8 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="raw / finetune / oracle baselines")
     p.add_argument("--method", choices=["raw", "finetune", "oracle"], required=True)
     _add_common(p)
-    p.add_argument("--ft-steps", type=int, default=2000)
-    p.add_argument("--ft-step-size", type=float, default=0.01)
 
     p = sub.add_parser("sweep", help="hyperparameter sweep (full run per value)")
     _add_common(p)
@@ -135,29 +131,11 @@ def run(argv=None) -> int:
 
     if args.command == "train":
         train(spec, corpus)
-        run_dir = Path(spec.out_dir) / spec.run_id
-        print(f"wrote {run_dir / 'checkpoint.json'} and {run_dir / 'train.csv'}")
+        print(f"wrote {spec.run_dir / 'checkpoint.json'} and {spec.run_dir / 'train.csv'}")
         return EXIT_OK
 
     if args.command == "baseline":
-        if args.method in ("raw", "oracle"):
-            result = evaluate(None, spec, corpus, variants=(args.method,))
-            _print_summary(result)
-            return EXIT_OK
-        env, profiles, texts = build_env(spec, corpus)
-        _, eval_idx = corpus.split(spec.eval_frac)
-        rows = []
-        for si in eval_idx:
-            profile = profiles[si]
-            f_t = texts[si][0]
-            _, best_sc = finetune_proxy(env, profile, f_t, steps=args.ft_steps,
-                                        step_size=args.ft_step_size)
-            rows.append({"speaker": profile.speaker_id,
-                         "raw_fused": env.fused(f_t, mean_init(profile.refs), profile),
-                         "finetune_fused": best_sc})
-        for r in rows:
-            print(f"speaker {r['speaker']}: raw {r['raw_fused']:.4f} "
-                  f"-> finetune {r['finetune_fused']:.4f}")
+        _print_summary(evaluate(None, spec, corpus, variants=(args.method,)))
         return EXIT_OK
 
     if args.command == "sweep":
@@ -166,14 +144,12 @@ def run(argv=None) -> int:
         except ValueError as exc:  # float names the token
             raise ConfigError(f"--values: {exc}") from None
         sweep(spec, args.axis, values, corpus)
-        run_dir = Path(spec.out_dir) / spec.run_id
-        print(f"wrote {run_dir / f'sweep_{args.axis}.csv'}")
+        print(f"wrote {spec.run_dir / f'sweep_{args.axis}.csv'}")
         return EXIT_OK
 
     if args.command == "ablate":
         ablate(spec, args.mode, corpus)
-        run_dir = Path(spec.out_dir) / spec.run_id
-        print(f"wrote {run_dir / f'ablate_{args.mode}.csv'}")
+        print(f"wrote {spec.run_dir / f'ablate_{args.mode}.csv'}")
         return EXIT_OK
 
     raise ConfigError(f"unhandled command {args.command!r}")

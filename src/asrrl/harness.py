@@ -265,6 +265,10 @@ class ExperimentSpec:
     def step_budget(self) -> int:
         return self.config.steps_ss if self.scenario == "ss" else self.config.steps_fs
 
+    @property
+    def run_dir(self) -> Path:
+        return Path(self.out_dir) / self.run_id
+
 
 def build_env(spec: ExperimentSpec, corpus: Corpus | None):
     """Environment plus (profiles, texts) for a spec.
@@ -437,10 +441,9 @@ def train(spec: ExperimentSpec, corpus: Corpus | None = None, *,
         )).compute_advantages(cfg.gamma, cfg.gae_lambda)
         ppo_update(policy, batch, cfg, opt)
     if write_outputs:
-        run_dir = Path(spec.out_dir) / spec.run_id
-        run_dir.mkdir(parents=True, exist_ok=True)
-        write_rows(run_dir / "train.csv", rows)
-        save_checkpoint(policy, run_dir / "checkpoint.json", config=cfg,
+        spec.run_dir.mkdir(parents=True, exist_ok=True)
+        write_rows(spec.run_dir / "train.csv", rows)
+        save_checkpoint(policy, spec.run_dir / "checkpoint.json", config=cfg,
                         step=episode, rng=rng)
     return policy, rows
 
@@ -488,31 +491,34 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
              variants: tuple[str, ...] = ("rl", "raw")) -> EvalResult:
     """Mode-action evaluation on the chosen speaker split.
 
-    Emits spec.eval_episodes episodes per speaker for the rl variant,
-    one scored row per (speaker, text) for raw, and a grid-oracle row
-    per (speaker, text) for oracle; oracle_best refuses grids too large
-    for d_e. Another variant or split, or rl without a policy, is a ConfigError.
+    Emits spec.eval_episodes episodes per speaker for the rl variant.
+    Each baseline scores one embedding per (speaker, text): raw the mean
+    of the references, finetune finetune_proxy's best, oracle the grid
+    oracle's (oracle_best refuses grids too large for d_e). A text's
+    baseline rows come in the order raw, finetune, oracle, whatever the
+    order of variants. Another variant or split, rl without a policy, or
+    a policy of another state layout is a ConfigError.
     """
-    unknown = sorted(set(variants) - {"rl", "raw", "oracle"})
+    unknown = sorted(set(variants) - {"rl", "raw", "finetune", "oracle"})
     if unknown or ("rl" in variants and policy is None):
         raise ConfigError(f"cannot evaluate {unknown or ['rl']} here: the variants are "
-                          f"rl (which needs a policy), raw and oracle")
+                          f"rl (which needs a policy), raw, finetune and oracle")
     if split not in ("eval", "train"):
         raise ConfigError(f"unknown split {split!r}: the splits are eval and train")
     cfg = spec.config
     env, profiles, texts = build_env(spec, corpus)
-    if policy is not None and policy.layout.size != env.layout.size:
-        raise ConfigError(
-            f"checkpoint state size {policy.layout.size} does not match "
-            f"environment state size {env.layout.size}"
-        )
+    if policy is not None and policy.layout != env.layout:
+        raise ConfigError(f"policy state layout {policy.layout} does not match "
+                          f"the environment's {env.layout}")
     if spec.env_kind == "voice":
         train_idx, eval_idx = corpus.split(spec.eval_frac)
         idx = eval_idx if split == "eval" else train_idx
     else:
         idx = list(range(len(profiles)))
-    if not idx:
-        raise ConfigError(f"split {split!r} is empty")
+    baselines = [v for v in ("raw", "finetune", "oracle") if v in variants]
+    margin = (spec.step_budget * cfg.action_scale
+              + 4.0 * getattr(env, "sigma_ref", 0.0)
+              + 4.0 * getattr(env, "sigma_star", 0.0))
     rows = []
     for si in idx:
         profile, spk_texts = profiles[si], texts[si]
@@ -523,21 +529,20 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
                 ep = run_episode(env, policy, profile, f_t, mode="mode")
                 rows.append(_score_row(spec, ei, profile.speaker_id, "rl",
                                        ep["final_scores"], ep["final_fused"]))
-        for ti in range(n_texts):
-            f_t = spk_texts[ti]
-            if "raw" in variants:
-                triple = env.score_state(f_t, mean_init(profile.refs), profile)
-                rows.append(_score_row(spec, ti, profile.speaker_id, "raw",
-                                       triple, fuse_scores(triple, spec.weights)))
-            if "oracle" in variants:
-                margin = (spec.step_budget * cfg.action_scale
-                          + 4.0 * getattr(env, "sigma_ref", 0.0)
-                          + 4.0 * getattr(env, "sigma_star", 0.0))
-                lim = float(np.max(np.abs(profile.refs))) + margin
-                e_best, _ = oracle_zoom(env, profile, f_t, -lim, lim,
-                                        points=ORACLE_GRID_POINTS)
-                triple = env.score_state(f_t, e_best, profile)
-                rows.append(_score_row(spec, ti, profile.speaker_id, "oracle",
+        lim = float(np.max(np.abs(profile.refs))) + margin
+        for ti, f_t in enumerate(spk_texts):
+            for variant in baselines:
+                # read from the module at each call, so a replaced
+                # harness.finetune_proxy or oracle_zoom (perfbench wraps both) runs
+                if variant == "raw":
+                    e = mean_init(profile.refs)
+                elif variant == "finetune":
+                    e, _ = finetune_proxy(env, profile, f_t)
+                else:
+                    e, _ = oracle_zoom(env, profile, f_t, -lim, lim,
+                                       points=ORACLE_GRID_POINTS)
+                triple = env.score_state(f_t, e, profile)
+                rows.append(_score_row(spec, ti, profile.speaker_id, variant,
                                        triple, fuse_scores(triple, spec.weights)))
     return EvalResult(rows)
 
@@ -545,10 +550,12 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
 def evaluate_checkpoint(checkpoint_path, corpus_path, *, split: str = "eval",
                         spec: ExperimentSpec | None = None) -> EvalResult:
     """Load a checkpoint and corpus and evaluate under the checkpoint's
-    config; build_env rejects a corpus of other dimensions."""
+    config and state layout; build_env rejects a corpus of other dimensions."""
     policy, cfg, _, _ = load_checkpoint(checkpoint_path)
     corpus = load_corpus(corpus_path)
-    spec = replace(spec or ExperimentSpec(), config=cfg, scenario=policy.scenario)
+    flags = {k: v for k, v in vars(policy.layout).items() if k.startswith("include_")}
+    spec = replace(spec or ExperimentSpec(), config=cfg, scenario=policy.scenario,
+                   **flags)
     return evaluate(policy, spec, corpus, split=split)
 
 
@@ -626,11 +633,10 @@ def sweep(spec: ExperimentSpec, axis: str, values, corpus: Corpus | None = None)
             long_rows.append({**r, "axis": axis, "value": value})
         for s in result.summary():
             summary_rows.append({"axis": axis, "value": value, **s})
-    run_dir = Path(spec.out_dir) / spec.run_id
-    run_dir.mkdir(parents=True, exist_ok=True)
-    write_rows(run_dir / f"sweep_{axis}.csv", long_rows,
+    spec.run_dir.mkdir(parents=True, exist_ok=True)
+    write_rows(spec.run_dir / f"sweep_{axis}.csv", long_rows,
                columns=["axis", "value"] + RUN_COLUMNS)
-    write_rows(run_dir / f"sweep_{axis}_summary.csv", summary_rows)
+    write_rows(spec.run_dir / f"sweep_{axis}_summary.csv", summary_rows)
     return long_rows, summary_rows
 
 
@@ -672,9 +678,8 @@ def ablate(spec: ExperimentSpec, mode: str, corpus: Corpus | None = None):
         policy, _ = train(point, corpus, write_outputs=False)
         result = evaluate(policy, replace(point, weights=spec.weights), corpus)
         rows += [{**r, "ablation": name} for r in result.rows]
-    run_dir = Path(spec.out_dir) / spec.run_id
-    run_dir.mkdir(parents=True, exist_ok=True)
-    write_rows(run_dir / f"ablate_{mode}.csv", rows,
+    spec.run_dir.mkdir(parents=True, exist_ok=True)
+    write_rows(spec.run_dir / f"ablate_{mode}.csv", rows,
                columns=["ablation"] + RUN_COLUMNS)
     return rows
 

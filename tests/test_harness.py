@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import math
 import os
 import re
@@ -535,7 +536,7 @@ def test_evaluate_rows_match_one_at_a_time_play(tmp_path, eval_episodes,
 def test_evaluate_rejects_variants_it_cannot_play(tmp_path, corpus):
     spec = _tiny_spec(tmp_path, corpus)
     policy, _ = train(spec, corpus, write_outputs=False)
-    with pytest.raises(ConfigError, match="'orcale'"):
+    with pytest.raises(ConfigError, match="'orcale'.*raw, finetune and oracle"):
         evaluate(policy, spec, corpus, variants=("orcale",))
     with pytest.raises(ConfigError, match="rl"):
         evaluate(None, spec, corpus)
@@ -572,6 +573,60 @@ def test_evaluate_raw_fs_variant_scores_mean_init(tmp_path):
             env.fused(f_t, mean_init(p.refs), p), abs=1e-12)
 
 
+@pytest.mark.parametrize("refs", [1, 3], ids=["ss", "fs"])
+def test_evaluate_finetune_rows_are_at_least_raw(tmp_path, refs):
+    corpus = gen_corpus(2, 8, refs, 4, 3, 2, tmp_path / "c.tsv")
+    spec = _tiny_spec(tmp_path, corpus)
+    rows = evaluate(None, spec, corpus, variants=("raw", "finetune")).rows
+    raw = {(r["speaker"], r["episode"]): r["fused"] for r in rows if r["variant"] == "raw"}
+    ft = {(r["speaker"], r["episode"]): r["fused"] for r in rows
+          if r["variant"] == "finetune"}
+    _, eval_idx = corpus.split(spec.eval_frac)
+    assert len(ft) == len(eval_idx) * corpus.meta["texts_per_speaker"]
+    assert ft.keys() == raw.keys()
+    assert all(ft[key] >= raw[key] for key in ft)
+    assert any(ft[key] > raw[key] for key in ft)
+
+
+def test_evaluate_finetune_row_scores_the_proxy_embedding(tmp_path, corpus):
+    spec = _tiny_spec(tmp_path, corpus)
+    env, profiles, texts = build_env(spec, corpus)
+    rows = evaluate(None, spec, corpus, variants=("finetune",)).rows
+    assert rows
+    for r in rows:
+        p = profiles[r["speaker"]]
+        f_t = texts[r["speaker"]][r["episode"]]
+        triple = env.score_state(f_t, finetune_proxy(env, p, f_t)[0], p)
+        assert r == harness._score_row(spec, r["episode"], p.speaker_id, "finetune",
+                                       triple, fuse_scores(triple, spec.weights))
+
+
+def test_evaluate_baseline_rows_come_raw_finetune_oracle(tmp_path, monkeypatch):
+    """Each text's baseline rows come raw, finetune, oracle whatever the
+    order of variants; the proxy and the oracle are looked up per call."""
+    corpus = gen_corpus(5, 5, 1, 2, 3, 3, tmp_path / "c.tsv")
+    spec = _tiny_spec(tmp_path, corpus)
+    env, _, _ = build_env(spec, corpus)
+    policy = PolicyNetwork(env.layout, "ss", k=1, hidden=8,
+                           rng=substream(3, "policy-init"))
+    proxy, zoom, calls = harness.finetune_proxy, harness.oracle_zoom, []
+    monkeypatch.setattr(harness, "finetune_proxy", lambda *a, **kw: (
+        calls.append("finetune") or proxy(*a, steps=50)))
+    monkeypatch.setattr(harness, "oracle_zoom", lambda *a, **kw: (
+        calls.append("oracle") or zoom(*a, **kw)))
+    want = None
+    for order in itertools.permutations(("raw", "finetune", "oracle", "rl")):
+        calls.clear()
+        rows = evaluate(policy, spec, corpus, variants=order).rows
+        baseline = [(r["speaker"], r["episode"], r["variant"]) for r in rows
+                    if r["variant"] != "rl"]
+        assert baseline == [(4, t, v) for t in range(3)  # speaker 4 is held out
+                            for v in ("raw", "finetune", "oracle")], order
+        assert calls == ["finetune", "oracle"] * 3
+        want = want or rows
+        assert rows == want
+
+
 def test_evaluate_checkpoint_rejects_wrong_corpus(tmp_path, corpus):
     spec = _tiny_spec(tmp_path, corpus)
     train(spec, corpus)
@@ -580,6 +635,32 @@ def test_evaluate_checkpoint_rejects_wrong_corpus(tmp_path, corpus):
     with pytest.raises(ConfigError, match="d_e"):
         evaluate_checkpoint(tmp_path / "t" / "checkpoint.json",
                             tmp_path / "other.tsv")
+
+
+def test_evaluate_rejects_a_policy_of_another_layout_of_equal_size(tmp_path):
+    corpus = gen_corpus(4, 5, 1, 16, 8, 2, tmp_path / "c.tsv")
+    spec = _tiny_spec(tmp_path, corpus)
+    env, _, _ = build_env(spec, corpus)
+    other = StateLayout(d_t=8, d_e=16, d_v=corpus.meta["d_v"],
+                        include_f_t=False, include_f_rv=True)
+    assert list(other.segment_dims()) == ["sep", "e", "f_rv"]
+    assert other.size == env.layout.size == 25
+    policy = PolicyNetwork(other, "ss", k=1, hidden=8, rng=substream(3, "policy-init"))
+    with pytest.raises(ConfigError) as exc:
+        evaluate(policy, spec, corpus)
+    assert str(other) in str(exc.value) and str(env.layout) in str(exc.value)
+
+
+@pytest.mark.parametrize("flags", [dict(include_f_rv=True),
+                                   dict(include_f_t=False, include_f_rv=True)],
+                         ids=["ft_sep_e_frv", "sep_e_frv"])
+def test_evaluate_checkpoint_plays_the_checkpoint_layout(tmp_path, flags):
+    corpus = gen_corpus(4, 5, 1, 16, 8, 2, tmp_path / "c.tsv")
+    spec = replace(_tiny_spec(tmp_path, corpus), **flags)
+    policy, _ = train(spec, corpus)
+    result = evaluate_checkpoint(tmp_path / "t" / "checkpoint.json", tmp_path / "c.tsv")
+    want = evaluate(policy, replace(spec, eval_episodes=100), corpus)
+    assert result.rows == [{**r, "run_id": "run"} for r in want.rows]
 
 
 # -- fine-tune proxy -------------------------------------------------------
@@ -861,6 +942,22 @@ def test_cli_fs_pipeline_takes_scenario_from_corpus(tmp_path, capsys):
     assert "raw" in capsys.readouterr().out
     with pytest.raises(SystemExit) as exc:
         _cli("train", "--corpus", str(corpus_path), "--scenario", "fs")
+    assert exc.value.code == 2
+
+
+def test_cli_finetune_baseline_scores_every_eval_row(tmp_path, capsys):
+    corpus_path = tmp_path / "c.tsv"
+    assert _cli("gen-data", "--seed", "7", "--speakers", "10", "--refs", "1",
+                "--dim-e", "3", "--dim-t", "2", "--texts", "3",
+                "--out", str(corpus_path)) == 0
+    capsys.readouterr()
+    assert _cli("baseline", "--method", "finetune", "--corpus", str(corpus_path)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert re.match(r"\s*finetune  n=6 ", lines[0]), lines  # 2 eval speakers x 3 texts
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["baseline", "--method", "finetune", "--corpus", str(corpus_path),
+                  "--ft-steps", "10"])
     assert exc.value.code == 2
 
 
