@@ -319,12 +319,10 @@ class SyntheticVoiceEnv(_EnvBase):
         return s_s @ self.E_post.T, s_s @ self.V.T
 
     def make_profile(self, speaker_id: int, rng: np.random.Generator,
-                     k: int = 1, sigma_ref: float | None = None) -> SpeakerProfile:
+                     k: int = 1) -> SpeakerProfile:
         """Draw a speaker: hidden optimum plus k noisy reference embeddings."""
-        if sigma_ref is None:
-            sigma_ref = self.sigma_ref
         e_star = self.mu + self.sigma_star * rng.standard_normal(self.d_e)
-        refs = e_star + sigma_ref * rng.standard_normal((k, self.d_e))
+        refs = e_star + self.sigma_ref * rng.standard_normal((k, self.d_e))
         target = self.voiceprint(self.f_t_cal, e_star)
         return SpeakerProfile(speaker_id, e_star, refs, target)
 
@@ -369,6 +367,8 @@ class TradeoffEnv(_EnvBase):
     sacrifices quality.
     """
 
+    SIGMA_REF = 0.2  # spread of speaker centers and of references around them
+
     def __init__(self, w: np.ndarray, tau: float, *, d_t: int = 4, seed: int = 0,
                  scenario: str = "ss", step_budget: int | None = None,
                  action_scale: float = 0.001, weights: RewardWeights = RewardWeights(),
@@ -393,9 +393,9 @@ class TradeoffEnv(_EnvBase):
         return s_s, s_s
 
     def make_profile(self, speaker_id: int, rng: np.random.Generator,
-                     k: int = 1, sigma_ref: float = 0.2) -> SpeakerProfile:
-        center = sigma_ref * rng.standard_normal(self.d_e)
-        refs = center + sigma_ref * rng.standard_normal((k, self.d_e))
+                     k: int = 1) -> SpeakerProfile:
+        center = self.SIGMA_REF * rng.standard_normal(self.d_e)
+        refs = center + self.SIGMA_REF * rng.standard_normal((k, self.d_e))
         return SpeakerProfile(speaker_id, center, refs, self.w.copy())
 
     def _scores_from_proj(self, z):

@@ -7,6 +7,7 @@ direction; responses may arrive out of order and are matched by id.
 Request:  {"id": <u64>, "kind": "sim"|"mos"|"intell",
            "speech": [f64...], "target": [f64...]|null, "text_id": <u64>|null}
 Response: {"id": <u64>, "score": <f64>}  or  {"id": <u64>, "error": "<message>"}
+A JSON boolean is not a <u64> or <f64>: a boolean id or score is a ScorerFault.
 """
 
 from __future__ import annotations
@@ -103,11 +104,11 @@ class ExternalScorerClient:
             msg = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ScorerFault(f"malformed response line: {exc}") from exc
-        if not isinstance(msg, dict) or not isinstance(msg.get("id"), int):
+        if not isinstance(msg, dict) or type(msg.get("id")) is not int:  # bool is no id
             raise ScorerFault(f"response without integer id: {line!r}")
         if "error" in msg:
             raise ScorerFault(f"scorer error for id {msg['id']}: {msg['error']}")
-        if not isinstance(msg.get("score"), (int, float)):
+        if type(msg.get("score")) not in (int, float):  # nor a score
             raise ScorerFault(f"response without numeric score: {line!r}")
         self._pending[msg["id"]] = float(msg["score"])
 

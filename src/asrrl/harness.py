@@ -64,14 +64,16 @@ class Corpus:
         return len(self.profiles)
 
     def split(self, eval_frac: float) -> tuple[list[int], list[int]]:
-        """Deterministic train/eval split; eval speakers are the tail."""
-        n_eval = max(1, int(round(self.n_speakers * eval_frac)))
-        if n_eval >= self.n_speakers:
-            raise ConfigError(
-                f"eval fraction {eval_frac} leaves no training speakers"
-            )
-        idx = list(range(self.n_speakers))
-        return idx[:-n_eval], idx[-n_eval:]
+        return split_speakers(self.n_speakers, eval_frac)
+
+
+def split_speakers(n_speakers: int, eval_frac: float) -> tuple[list[int], list[int]]:
+    """(train, eval) indices; the tail max(1, round(n * eval_frac)) are held out."""
+    n_eval = max(1, int(round(n_speakers * eval_frac)))
+    if n_eval >= n_speakers:
+        raise ConfigError(f"eval fraction {eval_frac} leaves no training speakers")
+    idx = list(range(n_speakers))
+    return idx[:-n_eval], idx[-n_eval:]
 
 
 def _fmt_vec(v: np.ndarray) -> str:
@@ -140,7 +142,7 @@ def gen_corpus(seed: int, n_speakers: int, k_refs: int, d_e: int, d_t: int,
     }
     profiles, texts = [], []
     for i in range(n_speakers):
-        profiles.append(env.make_profile(i, rng, k=k_refs, sigma_ref=sigma_ref))
+        profiles.append(env.make_profile(i, rng, k=k_refs))
         texts.append(rng.standard_normal((texts_per_speaker, d_t)))
     header = " ".join(
         [CORPUS_MAGIC, CORPUS_VERSION]
@@ -386,7 +388,7 @@ def run_episodes(env, policy: PolicyNetwork, refs, targets, F, noise):
 
 def train(spec: ExperimentSpec, corpus: Corpus | None = None, *,
           write_outputs: bool = True):
-    """Train a PPO policy for the experiment; returns (policy, episode rows).
+    """Train a PPO policy on split_speakers' train split; returns (policy, rows).
 
     Writes <out_dir>/<run_id>/train.csv and checkpoint.json unless
     write_outputs is False. Aborts with DivergenceError if the fused
@@ -395,10 +397,7 @@ def train(spec: ExperimentSpec, corpus: Corpus | None = None, *,
     """
     cfg = spec.config.validate()
     env, profiles, texts = build_env(spec, corpus)
-    if spec.env_kind == "voice":
-        train_idx, _ = corpus.split(spec.eval_frac)
-    else:
-        train_idx = list(range(len(profiles)))
+    train_idx, _ = split_speakers(len(profiles), spec.eval_frac)
     policy = PolicyNetwork(
         env.layout, spec.scenario, k=cfg.k, hidden=cfg.hidden,
         encoder=cfg.encoder, rng=substream(cfg.seed, "policy-init"),
@@ -489,7 +488,7 @@ ORACLE_GRID_POINTS = 41
 def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
              corpus: Corpus | None = None, *, split: str = "eval",
              variants: tuple[str, ...] = ("rl", "raw")) -> EvalResult:
-    """Mode-action evaluation on the chosen speaker split.
+    """Mode-action evaluation on split_speakers' "eval" or "train" split.
 
     Emits spec.eval_episodes episodes per speaker for the rl variant.
     Each baseline scores one embedding per (speaker, text): raw the mean
@@ -510,11 +509,8 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
     if policy is not None and policy.layout != env.layout:
         raise ConfigError(f"policy state layout {policy.layout} does not match "
                           f"the environment's {env.layout}")
-    if spec.env_kind == "voice":
-        train_idx, eval_idx = corpus.split(spec.eval_frac)
-        idx = eval_idx if split == "eval" else train_idx
-    else:
-        idx = list(range(len(profiles)))
+    train_idx, eval_idx = split_speakers(len(profiles), spec.eval_frac)
+    idx = eval_idx if split == "eval" else train_idx
     baselines = [v for v in ("raw", "finetune", "oracle") if v in variants]
     margin = (spec.step_budget * cfg.action_scale
               + 4.0 * getattr(env, "sigma_ref", 0.0)

@@ -124,6 +124,28 @@ def test_response_without_id_or_score_is_a_fault():
         s.close()
 
 
+def test_boolean_score_is_a_fault_not_one():
+    client, server, socks = _pair()
+    req = client.submit("sim", [0.5])
+    _respond_raw(server, json.dumps({"id": req, "score": True}).encode() + b"\n")
+    with pytest.raises(ScorerFault, match="numeric"):
+        client.wait(req)
+    for s in socks:
+        s.close()
+
+
+def test_boolean_id_is_a_fault_not_request_one():
+    client, server, socks = _pair()
+    client.submit("sim", [0.5])
+    req = client.submit("sim", [0.5])
+    assert req == 1
+    _respond_raw(server, b'{"id": true, "score": 0.25}\n')
+    with pytest.raises(ScorerFault, match="id"):
+        client.wait(req)
+    for s in socks:
+        s.close()
+
+
 def test_closed_connection_is_a_fault():
     client, server, socks = _pair()
     req = client.submit("sim", [0.5])

@@ -559,6 +559,36 @@ def test_evaluate_rejects_unknown_split(tmp_path, corpus):
         assert {r["speaker"] for r in result.rows} == speakers
 
 
+def _held_out_case(tmp_path, env_kind):
+    """(spec with eval_frac 0.3, corpus or None, speaker count) for an environment."""
+    cfg = RLConfig(d_e=3, d_t=2, k=1, hidden=8, rollout_batch=64, train_iters=3,
+                   action_scale=0.1, seed=5)
+    corpus = None
+    if env_kind == "voice":
+        corpus = gen_corpus(5, 10, 1, 3, 2, 2, tmp_path / "c.tsv")
+    spec = ExperimentSpec(config=cfg, env_kind=env_kind, eval_frac=0.3, run_id="h",
+                          out_dir=tmp_path, eval_episodes=1)
+    return spec, corpus, corpus.n_speakers if corpus else harness.TRADEOFF_SPEAKERS
+
+
+@pytest.mark.parametrize("env_kind", ["voice", "tradeoff"])
+def test_evaluate_holds_out_the_tail_speakers_in_either_environment(tmp_path, env_kind):
+    spec, corpus, n = _held_out_case(tmp_path, env_kind)
+    eval_spk, train_spk = (
+        {r["speaker"] for r in evaluate(None, spec, corpus, split=split, variants=("raw",)).rows}
+        for split in ("eval", "train"))
+    assert not eval_spk & train_spk
+    assert eval_spk | train_spk == set(range(n))
+    assert eval_spk == set(range(n - round(n * 0.3), n))
+
+
+@pytest.mark.parametrize("env_kind", ["voice", "tradeoff"])
+def test_train_plays_only_training_speakers_in_either_environment(tmp_path, env_kind):
+    spec, corpus, n = _held_out_case(tmp_path, env_kind)
+    _, rows = train(spec, corpus, write_outputs=False)
+    assert rows and {r["speaker"] for r in rows} <= set(range(n - round(n * 0.3)))
+
+
 def test_evaluate_raw_fs_variant_scores_mean_init(tmp_path):
     corpus = gen_corpus(2, 6, 3, 4, 3, 2, tmp_path / "fs.tsv")
     spec = _tiny_spec(tmp_path, corpus)
