@@ -69,6 +69,8 @@ class Corpus:
 
 def split_speakers(n_speakers: int, eval_frac: float) -> tuple[list[int], list[int]]:
     """(train, eval) indices; the tail max(1, round(n * eval_frac)) are held out."""
+    if not (math.isfinite(eval_frac) and eval_frac >= 0):
+        raise ConfigError(f"eval fraction must be finite and >= 0, got {eval_frac!r}")
     n_eval = max(1, int(round(n_speakers * eval_frac)))
     if n_eval >= n_speakers:
         raise ConfigError(f"eval fraction {eval_frac} leaves no training speakers")
@@ -490,13 +492,16 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
              variants: tuple[str, ...] = ("rl", "raw")) -> EvalResult:
     """Mode-action evaluation on split_speakers' "eval" or "train" split.
 
-    Emits spec.eval_episodes episodes per speaker for the rl variant.
-    Each baseline scores one embedding per (speaker, text): raw the mean
-    of the references, finetune finetune_proxy's best, oracle the grid
+    The rl variant plays spec.eval_episodes episodes per speaker, episode
+    i on text i % n_texts, in one lockstep run_episodes call with zero
+    noise; its rows are within about 1e-16 of one-at-a-time play. Each
+    baseline scores one embedding per (speaker, text): raw the mean of
+    the references, finetune finetune_proxy's best, oracle the grid
     oracle's (oracle_best refuses grids too large for d_e). A text's
     baseline rows come in the order raw, finetune, oracle, whatever the
-    order of variants. Another variant or split, rl without a policy, or
-    a policy of another state layout is a ConfigError.
+    order of variants. Another variant or split, rl without a policy or
+    with eval_episodes not an integer >= 1, or a policy of another state
+    layout is a ConfigError.
     """
     unknown = sorted(set(variants) - {"rl", "raw", "finetune", "oracle"})
     if unknown or ("rl" in variants and policy is None):
@@ -504,6 +509,10 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
                           f"rl (which needs a policy), raw, finetune and oracle")
     if split not in ("eval", "train"):
         raise ConfigError(f"unknown split {split!r}: the splits are eval and train")
+    n = spec.eval_episodes
+    if "rl" in variants and (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+                             or n < 1):
+        raise ConfigError(f"eval_episodes must be an integer >= 1, got {n!r}")
     cfg = spec.config
     env, profiles, texts = build_env(spec, corpus)
     if policy is not None and policy.layout != env.layout:
@@ -518,13 +527,13 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
     rows = []
     for si in idx:
         profile, spk_texts = profiles[si], texts[si]
-        n_texts = spk_texts.shape[0]
-        if "rl" in variants:
-            for ei in range(spec.eval_episodes):
-                f_t = spk_texts[ei % n_texts]
-                ep = run_episode(env, policy, profile, f_t, mode="mode")
-                rows.append(_score_row(spec, ei, profile.speaker_id, "rl",
-                                       ep["final_scores"], ep["final_fused"]))
+        if "rl" in variants:  # n episodes in lockstep, zero noise, episode i on text i % n_texts
+            eps = run_episodes(env, policy, np.repeat(profile.refs[None], n, 0),
+                               profile.target_voiceprint, np.resize(spk_texts, (n, cfg.d_t)),
+                               np.zeros((n, spec.step_budget, policy.action_dim)))
+            s, fused = eps["final_scores"], eps["final_fused"]
+            rows += [_score_row(spec, ei, profile.speaker_id, "rl", t, t[3]) for ei, t
+                     in enumerate(np.column_stack([s.sim, s.mos, s.intell, fused]).tolist())]
         lim = float(np.max(np.abs(profile.refs))) + margin
         for ti, f_t in enumerate(spk_texts):
             for variant in baselines:

@@ -208,8 +208,15 @@ def test_load_corpus_names_line_and_field(tmp_path, corpus, edit, field):
 def test_split_takes_tail_for_eval(corpus):
     train_idx, eval_idx = corpus.split(0.25)
     assert train_idx == [0, 1, 2, 3, 4, 5] and eval_idx == [6, 7]
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="1.0 leaves no training speakers"):
         corpus.split(1.0)
+    assert corpus.split(0.0) == (list(range(7)), [7])
+
+
+@pytest.mark.parametrize("eval_frac", [float("nan"), float("inf"), -float("inf"), -0.5])
+def test_split_rejects_fractions_that_are_not_finite_and_nonnegative(eval_frac):
+    with pytest.raises(ConfigError, match=re.escape(f"got {eval_frac!r}")):
+        harness.split_speakers(8, eval_frac)
 
 
 # -- build_env -------------------------------------------------------------
@@ -508,29 +515,103 @@ def test_evaluate_row_counts_and_summary_consistency(tmp_path, corpus):
                    - np.mean([r["fused"] for r in sel])) <= 1e-9
 
 
+def _assert_rows_match_one_at_a_time_play(spec, corpus, policy):
+    """evaluate's rl rows against one-at-a-time mode play of every episode
+    index, episode i on text i % n_texts: the same rows in the same order,
+    every field but the scores equal, and the scores within 1e-12 (the
+    lockstep forward and batch scorer round differently from one row)."""
+    env, profiles, texts = build_env(spec, corpus)
+    _, eval_idx = harness.split_speakers(len(profiles), spec.eval_frac)
+    want = []
+    for si in eval_idx:
+        for ei in range(spec.eval_episodes):
+            ep = harness.run_episode(env, policy, profiles[si],
+                                     texts[si][ei % len(texts[si])], mode="mode")
+            want.append(harness._score_row(spec, ei, profiles[si].speaker_id,
+                                           "rl", ep["final_scores"], ep["final_fused"]))
+    rows = evaluate(policy, spec, corpus, variants=("rl",)).rows
+    scores = ("sim", "mos", "intell", "fused")
+    assert len(rows) == len(want)
+    for got, w in zip(rows, want):
+        assert list(got) == list(w)
+        assert ({k: v for k, v in got.items() if k not in scores}
+                == {k: v for k, v in w.items() if k not in scores})
+        for k in scores:
+            assert type(got[k]) is float and abs(got[k] - w[k]) <= 1e-12, k
+    assert len({r["fused"] for r in rows}) > 1
+
+
 @pytest.mark.parametrize("n_texts", [2, 3, 4])
 @pytest.mark.parametrize("eval_episodes", [1, 3, 7, 100])
 def test_evaluate_rows_match_one_at_a_time_play(tmp_path, eval_episodes,
                                                 n_texts):
-    """Rows equal one-at-a-time mode play of every episode index, bitwise;
-    episode i replays text i % n_texts."""
     corpus = gen_corpus(9, 10, 1, 4, 3, n_texts, tmp_path / "c.tsv")
     spec = replace(_tiny_spec(tmp_path, corpus), eval_episodes=eval_episodes)
-    env, profiles, texts = build_env(spec, corpus)
+    env, _, _ = build_env(spec, corpus)
     policy = PolicyNetwork(env.layout, "ss", k=1, hidden=8,
                            rng=substream(3, "policy-init"))
     policy.params["mean.W"] *= 100.0  # the mode action moves the embedding
+    _assert_rows_match_one_at_a_time_play(spec, corpus, policy)
+
+
+@pytest.mark.parametrize("case", ["fs-k3", "tradeoff"])
+def test_evaluate_rows_match_one_at_a_time_play_in_fs_and_tradeoff(tmp_path, case):
+    if case == "fs-k3":
+        corpus = gen_corpus(9, 10, 3, 4, 3, 3, tmp_path / "c.tsv")
+        spec = replace(_tiny_spec(tmp_path, corpus), eval_episodes=7)
+    else:
+        corpus = None
+        spec = ExperimentSpec(config=RLConfig(d_e=4, d_t=3, k=1, hidden=8, seed=3,
+                                              action_scale=0.1),
+                              env_kind="tradeoff", eval_episodes=7)
+    env, _, _ = build_env(spec, corpus)
+    policy = PolicyNetwork(env.layout, spec.scenario, k=spec.config.k, hidden=8,
+                           rng=substream(3, "policy-init"))
+    policy.params["mean.W"] *= 100.0
+    _assert_rows_match_one_at_a_time_play(spec, corpus, policy)
+
+
+def test_evaluate_rl_rewards_telescope_in_one_call_per_speaker(tmp_path, monkeypatch):
+    """evaluate plays each evaluated speaker's episodes in one run_episodes
+    call, and every episode's rewards sum to its net fused gain."""
+    corpus = gen_corpus(9, 10, 1, 4, 3, 3, tmp_path / "c.tsv")
+    spec = replace(_tiny_spec(tmp_path, corpus), eval_episodes=7)
+    env, _, _ = build_env(spec, corpus)
+    policy = PolicyNetwork(env.layout, "ss", k=1, hidden=8,
+                           rng=substream(3, "policy-init"))
+    policy.params["mean.W"] *= 100.0
+    real, played = harness.run_episodes, []
+
+    def checked(*args):
+        eps = real(*args)
+        played.append(eps)
+        return eps
+
+    monkeypatch.setattr(harness, "run_episodes", checked)
+    rows = evaluate(policy, spec, corpus, variants=("rl", "raw")).rows
     _, eval_idx = corpus.split(spec.eval_frac)
-    want = []
-    for si in eval_idx:
-        for ei in range(eval_episodes):
-            ep = harness.run_episode(env, policy, profiles[si],
-                                     texts[si][ei % n_texts], mode="mode")
-            want.append(harness._score_row(spec, ei, profiles[si].speaker_id,
-                                           "rl", ep["final_scores"], ep["final_fused"]))
-    rows = evaluate(policy, spec, corpus, variants=("rl",)).rows
-    assert rows == want
-    assert len({r["fused"] for r in rows}) > 1
+    assert len(played) == len(eval_idx)
+    for eps in played:
+        assert eps["rewards"].shape == (spec.eval_episodes, spec.step_budget)
+        for i in range(spec.eval_episodes):
+            net = eps["final_fused"][i] - eps["initial_fused"][i]
+            assert abs(math.fsum(eps["rewards"][i]) - net) <= 1e-9
+    assert np.ptp(np.concatenate([eps["rewards"] for eps in played])) > 0
+    assert sum(r["variant"] == "rl" for r in rows) == len(eval_idx) * spec.eval_episodes
+
+
+@pytest.mark.parametrize("eval_episodes", [0, -1, 2.5, True, "3", None])
+def test_evaluate_rejects_eval_episodes_that_are_not_positive_integers(
+        tmp_path, corpus, eval_episodes):
+    spec = replace(_tiny_spec(tmp_path, corpus), eval_episodes=eval_episodes)
+    env, _, _ = build_env(spec, corpus)
+    policy = PolicyNetwork(env.layout, "ss", k=1, hidden=8)
+    with pytest.raises(ConfigError, match=re.escape(f"got {eval_episodes!r}")):
+        evaluate(policy, spec, corpus)
+    # the baselines play no episodes, so they do not read it
+    assert evaluate(None, spec, corpus, variants=("raw",)).variants() == ["raw"]
+    one = replace(spec, eval_episodes=np.int64(1))
+    assert len(evaluate(policy, one, corpus, variants=("rl",)).rows) == 2
 
 
 def test_evaluate_rejects_variants_it_cannot_play(tmp_path, corpus):
