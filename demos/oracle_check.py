@@ -43,7 +43,7 @@ def main() -> None:
         f_t = texts[p.speaker_id][0]
         e_ft, _ = finetune_proxy(env, p, f_t, steps=2000)
         lim = float(np.max(np.abs(p.refs))) + 0.2
-        e_or, _ = oracle_zoom(env, p, f_t, -lim, lim, points=41)
+        e_or, _ = oracle_zoom(env, p, f_t, -lim, lim)
         print(f"  speaker {p.speaker_id}: finetune {e_ft[0]:+.5f} "
               f"oracle {e_or[0]:+.5f}  |diff| {abs(e_ft[0]-e_or[0]):.1e}")
 

@@ -39,12 +39,11 @@ def _xavier(rng, fan_in, fan_out):
 class PolicyNetwork:
     """Gaussian policy + value head over the flattened state vector.
 
-    encoder="segments" projects each state segment to the hidden width
-    with its own weights plus a learned segment embedding, tanh, and
-    mean-pools the segment tokens; encoder="mlp" is a plain 2-layer MLP
-    over the concatenated state. Both feed one more tanh layer and
-    linear mean/value heads. The log-std is a free parameter vector that
-    starts at -0.5 and is clamped to [-5, 2].
+    The encoder projects each state segment to the hidden width with its
+    own weights plus a learned segment embedding, tanh, and mean-pools the
+    segment tokens; "segments" is its only value. One more tanh layer
+    feeds linear mean/value heads. The log-std is a free parameter vector
+    that starts at -0.5 and is clamped to [-5, 2].
     """
 
     def __init__(self, layout: StateLayout, scenario: str, *, k: int = 1,
@@ -52,30 +51,24 @@ class PolicyNetwork:
                  rng: np.random.Generator | None = None):
         if scenario not in ("ss", "fs"):
             raise ValueError(f"scenario must be 'ss' or 'fs', got {scenario!r}")
-        if encoder not in ("segments", "mlp"):
+        if encoder != "segments":
             raise ValueError(f"unknown encoder {encoder!r}")
         rng = rng or np.random.default_rng(0)
         self.layout = layout
         self.scenario = scenario
         self.k = int(k)
         self.hidden = int(hidden)
-        self.encoder = encoder
         self.action_dim = layout.d_e if scenario == "ss" else self.k
         self.state_dim = layout.size
         H = self.hidden
         p: dict[str, np.ndarray] = {}
-        if encoder == "segments":
-            self._segments = []  # (weight key, bias key, start, dim)
-            off = 0
-            for name, dim in layout.segment_dims().items():
-                self._segments.append((f"enc.{name}.W", f"enc.{name}.g", off, dim))
-                off += dim
-                p[f"enc.{name}.W"] = _xavier(rng, dim, H)
-                p[f"enc.{name}.g"] = 0.1 * rng.standard_normal(H)
-        else:  # one token over the whole state
-            self._segments = [("enc.W", "enc.b", 0, self.state_dim)]
-            p["enc.W"] = _xavier(rng, self.state_dim, H)
-            p["enc.b"] = np.zeros(H)
+        self._segments = []  # (weight key, bias key, start, dim)
+        off = 0
+        for name, dim in layout.segment_dims().items():
+            self._segments.append((f"enc.{name}.W", f"enc.{name}.g", off, dim))
+            off += dim
+            p[f"enc.{name}.W"] = _xavier(rng, dim, H)
+            p[f"enc.{name}.g"] = 0.1 * rng.standard_normal(H)
         p["trunk.W"] = _xavier(rng, H, H)
         p["trunk.b"] = np.zeros(H)
         # near-zero initial mean keeps the starting policy close to the

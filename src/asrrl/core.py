@@ -244,7 +244,7 @@ class RLConfig:
             raise ValueError(f"seed must be >= 0, got seed={self.seed}")
         if self.train_iters < 0:
             raise ValueError(f"train_iters must be >= 0, got {self.train_iters}")
-        if self.encoder not in ("segments", "mlp"):
+        if self.encoder != "segments":
             raise ValueError(f"unknown encoder {self.encoder!r}")
         return self
 

@@ -79,8 +79,7 @@ class _EnvBase:
     """
 
     def __init__(self, layout: StateLayout, scenario: str, step_budget: int | None,
-                 action_scale: float, weights: RewardWeights,
-                 scorers: dict | None = None):
+                 action_scale: float, weights: RewardWeights):
         if scenario not in ("ss", "fs"):
             raise ValueError(f"scenario must be 'ss' or 'fs', got {scenario!r}")
         if step_budget is None:
@@ -90,7 +89,7 @@ class _EnvBase:
         self.step_budget = int(step_budget)
         self.action_scale = float(action_scale)
         self.weights = weights
-        self.scorers = scorers or {}
+        self.scorers = {}  # kind -> plug-in scorer; set after construction
         # mutable episode state
         self._profile: SpeakerProfile | None = None
         self._f_t: np.ndarray | None = None
@@ -255,10 +254,9 @@ class SyntheticVoiceEnv(_EnvBase):
                  seed: int = 0, scenario: str = "ss", step_budget: int | None = None,
                  action_scale: float = 0.001, weights: RewardWeights = RewardWeights(),
                  layout: StateLayout | None = None, sigma_star: float = 0.005,
-                 sigma_ref: float = 0.05, r_shell: float | None = None,
-                 scorers: dict | None = None):
+                 sigma_ref: float = 0.05, r_shell: float | None = None):
         layout = layout or StateLayout(d_t=d_t, d_e=d_e, d_v=d_v)
-        super().__init__(layout, scenario, step_budget, action_scale, weights, scorers)
+        super().__init__(layout, scenario, step_budget, action_scale, weights)
         self.d_e, self.d_t, self.d_s, self.d_v = d_e, d_t, d_s, d_v
         self.seed = int(seed)
         self.sigma_star = float(sigma_star)
@@ -369,10 +367,10 @@ class TradeoffEnv(_EnvBase):
 
     SIGMA_REF = 0.2  # spread of speaker centers and of references around them
 
-    def __init__(self, w: np.ndarray, tau: float, *, d_t: int = 4, seed: int = 0,
+    def __init__(self, w: np.ndarray, tau: float, *, d_t: int = 4,
                  scenario: str = "ss", step_budget: int | None = None,
                  action_scale: float = 0.001, weights: RewardWeights = RewardWeights(),
-                 layout: StateLayout | None = None, scorers: dict | None = None):
+                 layout: StateLayout | None = None):
         w = np.asarray(w, dtype=np.float64)
         if abs(np.linalg.norm(w) - 1.0) > 1e-9:
             raise ValueError(f"direction w must be unit-norm, got |w| = {np.linalg.norm(w)}")
@@ -380,11 +378,10 @@ class TradeoffEnv(_EnvBase):
             raise ValueError(f"threshold tau must be positive, got {tau}")
         d_e = w.shape[0]
         layout = layout or StateLayout(d_t=d_t, d_e=d_e)
-        super().__init__(layout, scenario, step_budget, action_scale, weights, scorers)
+        super().__init__(layout, scenario, step_budget, action_scale, weights)
         self.w = w
         self.tau = float(tau)
         self.d_e, self.d_t = d_e, d_t
-        self.seed = int(seed)
 
     def synth(self, f_t, e):
         return np.tanh(np.asarray(e, dtype=np.float64))
@@ -470,12 +467,12 @@ def oracle_best(env: _EnvBase, profile: SpeakerProfile, f_t: np.ndarray,
 
 
 def oracle_zoom(env, profile: SpeakerProfile, f_t: np.ndarray,
-                lo: float, hi: float, *, points: int = 21):
+                lo: float, hi: float, *, points: int = 41):
     """Brute-force grid argmax with iterative zoom.
 
     Runs oracle_best on [lo, hi]^d_e, then re-grids a one-cell window
     around the argmax, for four rounds. Width shrinks by (points-1)/2 per
-    round, so four 21-point rounds resolve ~1000x finer than the first
+    round, so four 41-point rounds resolve ~8000x finer than the first
     grid while scoring only 4 * points**d_e candidates. The score never
     decreases across rounds because each window contains the previous
     argmax.

@@ -59,12 +59,8 @@ class Corpus:
     profiles: list[SpeakerProfile]
     texts: list[np.ndarray]  # per speaker: (texts_per_speaker, d_t)
 
-    @property
-    def n_speakers(self) -> int:
-        return len(self.profiles)
-
     def split(self, eval_frac: float) -> tuple[list[int], list[int]]:
-        return split_speakers(self.n_speakers, eval_frac)
+        return split_speakers(len(self.profiles), eval_frac)
 
 
 def split_speakers(n_speakers: int, eval_frac: float) -> tuple[list[int], list[int]]:
@@ -290,6 +286,8 @@ def build_env(spec: ExperimentSpec, corpus: Corpus | None):
                 f"corpus dims (d_e={m['d_e']}, d_t={m['d_t']}) do not match "
                 f"config (d_e={cfg.d_e}, d_t={cfg.d_t})"
             )
+        if spec.scenario == "fs" and m["k"] != cfg.k:  # SS ignores cfg.k
+            raise ConfigError(f"corpus has k={m['k']} references, the FS config k={cfg.k}")
         env = SyntheticVoiceEnv(
             d_e=m["d_e"], d_t=m["d_t"], d_s=m["d_s"], d_v=m["d_v"],
             seed=m["seed"], scenario=spec.scenario,
@@ -307,10 +305,9 @@ def build_env(spec: ExperimentSpec, corpus: Corpus | None):
         w = rng.standard_normal(cfg.d_e)
         w /= np.linalg.norm(w)
         env = TradeoffEnv(
-            w, TRADEOFF_TAU, d_t=cfg.d_t, seed=cfg.seed,
-            scenario=spec.scenario, step_budget=spec.step_budget,
-            action_scale=cfg.action_scale, weights=spec.weights,
-            layout=spec.layout(),
+            w, TRADEOFF_TAU, d_t=cfg.d_t, scenario=spec.scenario,
+            step_budget=spec.step_budget, action_scale=cfg.action_scale,
+            weights=spec.weights, layout=spec.layout(),
         )
         srng = substream(cfg.seed, "tradeoff-speakers")
         k = 1 if spec.scenario == "ss" else cfg.k
@@ -484,9 +481,6 @@ class EvalResult:
         return out
 
 
-ORACLE_GRID_POINTS = 41
-
-
 def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
              corpus: Corpus | None = None, *, split: str = "eval",
              variants: tuple[str, ...] = ("rl", "raw")) -> EvalResult:
@@ -501,7 +495,7 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
     baseline rows come in the order raw, finetune, oracle, whatever the
     order of variants. Another variant or split, rl without a policy or
     with eval_episodes not an integer >= 1, or a policy of another state
-    layout is a ConfigError.
+    layout or, in FS, another k is a ConfigError.
     """
     unknown = sorted(set(variants) - {"rl", "raw", "finetune", "oracle"})
     if unknown or ("rl" in variants and policy is None):
@@ -518,6 +512,8 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
     if policy is not None and policy.layout != env.layout:
         raise ConfigError(f"policy state layout {policy.layout} does not match "
                           f"the environment's {env.layout}")
+    if policy is not None and policy.scenario == "fs" and policy.k != profiles[0].k:
+        raise ConfigError(f"FS policy has k={policy.k}, the speakers k={profiles[0].k}")
     train_idx, eval_idx = split_speakers(len(profiles), spec.eval_frac)
     idx = eval_idx if split == "eval" else train_idx
     baselines = [v for v in ("raw", "finetune", "oracle") if v in variants]
@@ -544,8 +540,7 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
                 elif variant == "finetune":
                     e, _ = finetune_proxy(env, profile, f_t)
                 else:
-                    e, _ = oracle_zoom(env, profile, f_t, -lim, lim,
-                                       points=ORACLE_GRID_POINTS)
+                    e, _ = oracle_zoom(env, profile, f_t, -lim, lim)
                 triple = env.score_state(f_t, e, profile)
                 rows.append(_score_row(spec, ti, profile.speaker_id, variant,
                                        triple, fuse_scores(triple, spec.weights)))
@@ -710,7 +705,7 @@ def read_rows(path) -> list[dict]:
 # -- flat config files -----------------------------------------------------
 
 def parse_config_file(path) -> RLConfig:
-    """Flat key=value config with # comments; every RLConfig field works."""
+    """Flat key=value config with # comments; every RLConfig field works, once."""
     import dataclasses
 
     fields = {f.name: f.type for f in dataclasses.fields(RLConfig)}
@@ -724,6 +719,8 @@ def parse_config_file(path) -> RLConfig:
             key, val = key.strip(), val.strip()
             if not sep or key not in fields:
                 raise ConfigError(f"{path}:{lineno}: unknown or malformed entry {raw.strip()!r}")
+            if key in overrides:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} repeated")
             kind = str if key == "encoder" else int if fields[key] in ("int", int) else float
             try:
                 overrides[key] = kind(val)

@@ -356,11 +356,9 @@ def test_plugin_scorers_match_internal_path():
             return self.value
 
     # refs stay inside the quality shell, so mos/intell are constant there
-    scored = SyntheticVoiceEnv(
-        d_e=4, d_t=3, seed=2,
-        scorers={"sim": SimScorer(), "mos": Const("mos", 5.0),
-                 "intell": Const("intell", 0.0)},
-    )
+    scored = SyntheticVoiceEnv(d_e=4, d_t=3, seed=2)
+    scored.scorers = {"sim": SimScorer(), "mos": Const("mos", 5.0),
+                      "intell": Const("intell", 0.0)}
     f_t = substream(2, "texts").standard_normal(3)
     direct = env.score_state(f_t, p.refs[0], p)
     via_plugins = scored.score_state(f_t, p.refs[0], p)
@@ -396,7 +394,8 @@ def test_plugin_fused_batch_matches_score_state(kind):
     """fused_batch scores every row through the plug-ins, each with the
     speaker's target, as score_state does for one embedding."""
     scorers = {"sim": _SpeechScorer("sim", 1.0), "mos": _SpeechScorer("mos", 5.0)}
-    env = _env(seed=2, scorers=scorers) if kind == "voice" else _tenv(scorers=scorers)
+    env = _env(seed=2) if kind == "voice" else _tenv()
+    env.scorers = scorers
     rng = substream(4, "plugin-batch")
     p = env.make_profile(0, rng, k=1)
     f_t = rng.standard_normal(env.d_t)
@@ -524,7 +523,7 @@ def test_oracle_zoom_refines_monotonically():
 def _tenv(tau=0.2, d=3, **kw):
     w = np.zeros(d)
     w[0] = 1.0
-    return TradeoffEnv(w, tau, seed=0, **kw)
+    return TradeoffEnv(w, tau, **kw)
 
 
 def test_tradeoff_requires_unit_direction_and_positive_tau():

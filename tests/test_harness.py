@@ -3,6 +3,7 @@
 import csv
 import io
 import itertools
+import json
 import math
 import os
 import re
@@ -15,7 +16,7 @@ import pytest
 
 import asrrl.harness as harness
 from asrrl import cli
-from asrrl.agent import PolicyNetwork, load_checkpoint, select_action
+from asrrl.agent import CheckpointError, PolicyNetwork, load_checkpoint, select_action
 from asrrl.core import RLConfig, StateLayout, mean_init
 from asrrl.env import SyntheticVoiceEnv, TradeoffEnv
 from asrrl.harness import (
@@ -72,7 +73,7 @@ def test_gen_corpus_refuses_overwrite(tmp_path):
 
 def test_gen_corpus_count_contract(tmp_path):
     c = gen_corpus(0, 10, 3, 4, 3, 2, tmp_path / "c.tsv")
-    assert c.n_speakers == 10
+    assert len(c.profiles) == 10
     assert all(p.refs.shape == (3, 4) for p in c.profiles)
     assert all(t.shape == (2, 3) for t in c.texts)
 
@@ -229,6 +230,21 @@ def test_build_env_checks_dims_and_k(tmp_path, corpus):
     fs = replace(_tiny_spec(tmp_path, corpus), scenario="fs")
     with pytest.raises(ConfigError, match="k >= 2"):
         build_env(fs, corpus)
+
+
+def test_build_env_names_both_k_of_an_fs_mismatch(tmp_path):
+    """FS fuses the corpus's k references, so a config of another k is a
+    ConfigError naming both; SS ignores the config's k."""
+    corpus = gen_corpus(3, 5, 2, 4, 3, 2, tmp_path / "k2.tsv")
+    fs = _tiny_spec(tmp_path, corpus)
+    assert fs.scenario == "fs"
+    for k in (3, 5):
+        spec = replace(fs, config=fs.config.with_overrides(k=k))
+        with pytest.raises(ConfigError, match=f"k=2 .*k={k}"):
+            build_env(spec, corpus)
+    ss_corpus = gen_corpus(3, 5, 1, 4, 3, 2, tmp_path / "k1.tsv")
+    ss = _tiny_spec(tmp_path, ss_corpus)
+    build_env(replace(ss, config=ss.config.with_overrides(k=3)), ss_corpus)
 
 
 def test_build_env_requires_corpus_for_voice(tmp_path, corpus):
@@ -649,7 +665,7 @@ def _held_out_case(tmp_path, env_kind):
         corpus = gen_corpus(5, 10, 1, 3, 2, 2, tmp_path / "c.tsv")
     spec = ExperimentSpec(config=cfg, env_kind=env_kind, eval_frac=0.3, run_id="h",
                           out_dir=tmp_path, eval_episodes=1)
-    return spec, corpus, corpus.n_speakers if corpus else harness.TRADEOFF_SPEAKERS
+    return spec, corpus, len(corpus.profiles) if corpus else harness.TRADEOFF_SPEAKERS
 
 
 @pytest.mark.parametrize("env_kind", ["voice", "tradeoff"])
@@ -760,6 +776,26 @@ def test_evaluate_rejects_a_policy_of_another_layout_of_equal_size(tmp_path):
     with pytest.raises(ConfigError) as exc:
         evaluate(policy, spec, corpus)
     assert str(other) in str(exc.value) and str(env.layout) in str(exc.value)
+
+
+def test_an_fs_policy_of_another_k_is_rejected_before_it_plays(tmp_path, capsys):
+    """A k=3 FS checkpoint on a k=2 corpus of the same dimensions, from
+    evaluate_checkpoint, evaluate and the CLI, is a ConfigError naming both k."""
+    k3 = gen_corpus(6, 5, 3, 4, 3, 2, tmp_path / "k3.tsv")
+    gen_corpus(6, 5, 2, 4, 3, 2, tmp_path / "k2.tsv")
+    k2 = load_corpus(tmp_path / "k2.tsv")
+    policy, _ = train(_tiny_spec(tmp_path, k3), k3)
+    checkpoint = tmp_path / "t" / "checkpoint.json"
+    with pytest.raises(ConfigError, match="k=2 .*k=3"):
+        evaluate_checkpoint(checkpoint, tmp_path / "k2.tsv")
+    with pytest.raises(ConfigError, match="k=3, .*k=2"):
+        evaluate(policy, _tiny_spec(tmp_path, k2), k2)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "--checkpoint", str(checkpoint),
+                  "--corpus", str(tmp_path / "k2.tsv")])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "k=2" in err and "k=3" in err and "logits" not in err
 
 
 @pytest.mark.parametrize("flags", [dict(include_f_rv=True),
@@ -977,9 +1013,16 @@ def test_write_rows_whole_file_through_links_and_pipes(tmp_path):
 def test_parse_config_file(tmp_path):
     path = tmp_path / "cfg"
     path.write_text("# comment\ngamma = 0.9  # inline\nhidden=32\n"
-                    "encoder = mlp\n\n")
+                    "encoder = segments\n\n")
     cfg = parse_config_file(path)
-    assert cfg.gamma == 0.9 and cfg.hidden == 32 and cfg.encoder == "mlp"
+    assert cfg.gamma == 0.9 and cfg.hidden == 32 and cfg.encoder == "segments"
+
+
+def test_parse_config_file_rejects_a_repeated_key_with_line(tmp_path):
+    path = tmp_path / "cfg"
+    path.write_text("# c\ngamma=0.3\nhidden=8\ngamma = 0.9\n")
+    with pytest.raises(ConfigError, match=":4: key 'gamma' repeated"):
+        parse_config_file(path)
 
 
 def test_parse_config_file_rejects_unknown_key_with_line(tmp_path):
@@ -1141,6 +1184,37 @@ def test_cli_exit_codes(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["eval", "--checkpoint", str(ck), "--corpus", str(corpus_path)])
         assert exc.value.code == 4, ck.name
+
+
+def test_the_mlp_encoder_is_refused_everywhere(tmp_path, corpus, capsys):
+    """The one encoder is "segments": "mlp" is a ValueError from RLConfig and
+    PolicyNetwork, a ConfigError from a config file (CLI exit 2) and a
+    CheckpointError from a checkpoint (CLI exit 4)."""
+    with pytest.raises(ValueError, match="unknown encoder 'mlp'"):
+        RLConfig(encoder="mlp").validate()
+    with pytest.raises(ValueError, match="unknown encoder 'mlp'"):
+        PolicyNetwork(StateLayout(d_t=2, d_e=2), "ss", encoder="mlp")
+    cfg_path = tmp_path / "mlp.cfg"
+    cfg_path.write_text("train_iters=1\nencoder = mlp\n")
+    with pytest.raises(ConfigError, match="unknown encoder 'mlp'"):
+        parse_config_file(cfg_path)
+    corpus_path = tmp_path / "c.tsv"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train", "--corpus", str(corpus_path), "--config", str(cfg_path),
+                  "--out", str(tmp_path / "runs")])
+    assert exc.value.code == 2 and "unknown encoder 'mlp'" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+    train(_tiny_spec(tmp_path, corpus), corpus)
+    checkpoint = tmp_path / "t" / "checkpoint.json"
+    doc = json.loads(checkpoint.read_text())
+    doc["config"]["encoder"] = "mlp"
+    checkpoint.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match="unknown encoder 'mlp'"):
+        load_checkpoint(checkpoint)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "--checkpoint", str(checkpoint), "--corpus", str(corpus_path)])
+    assert exc.value.code == 4 and "unknown encoder 'mlp'" in capsys.readouterr().err
 
 
 def test_cli_negative_seeds_and_bad_sweep_values_are_named(tmp_path, capsys):
