@@ -269,15 +269,30 @@ class Adam:
         self.lr = lr
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
+        self._a = np.empty_like(params)  # work buffers for step
+        self._b = np.empty_like(params)
         self.t = 0
 
     def step(self, params: np.ndarray, grads: np.ndarray):
+        """params -= lr * (m / bc1) / (sqrt(v / bc2) + eps) after the moment
+        updates, in place; each product keeps the operand order of the
+        allocating expression, so the bits are the same."""
         self.t += 1
         bc1 = 1.0 - self.BETA1 ** self.t
         bc2 = 1.0 - self.BETA2 ** self.t
-        self.m = self.BETA1 * self.m + (1 - self.BETA1) * grads
-        self.v = self.BETA2 * self.v + (1 - self.BETA2) * grads * grads
-        params -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.EPS)
+        m, v, a, b = self.m, self.v, self._a, self._b
+        m *= self.BETA1  # m = BETA1 * m + (1 - BETA1) * g
+        m += np.multiply(1 - self.BETA1, grads, out=a)
+        v *= self.BETA2  # v = BETA2 * v + ((1 - BETA2) * g) * g
+        np.multiply(1 - self.BETA2, grads, out=a)
+        v += np.multiply(a, grads, out=a)
+        np.divide(m, bc1, out=a)
+        a *= self.lr
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += self.EPS
+        a /= b
+        params -= a
 
 
 def ppo_loss_and_grads(policy: PolicyNetwork, batch: RolloutBatch, *,

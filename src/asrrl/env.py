@@ -339,11 +339,11 @@ class SyntheticVoiceEnv(_EnvBase):
         E = np.asarray(E, dtype=np.float64)
         vp = self.synth(f_t, E).dot(self.V.T)
         # np.linalg.norm and np.clip spelled out: the same IEEE operations
-        nv = np.sqrt((vp * vp).sum(axis=1))
+        nv = np.sqrt(_sum_squares(vp))
         if target.ndim == 1:
             dot, nt = vp.dot(target), math.sqrt(target.dot(target))
         else:
-            dot, nt = np.einsum("ij,ij->i", vp, target), np.sqrt((target * target).sum(axis=1))
+            dot, nt = np.einsum("ij,ij->i", vp, target), np.sqrt(_sum_squares(target))
         den = nv * nt
         if den.all():  # errstate costs more than the division
             cos = dot / den
@@ -353,8 +353,40 @@ class SyntheticVoiceEnv(_EnvBase):
             cos[(nv == 0) | (nt == 0)] = 0.0
         np.minimum(np.maximum(cos, -1.0, out=cos), 1.0, out=cos)
         sim = np.divide(np.add(cos, 1.0, out=cos), 2.0, out=cos)
-        mos, intell = self._shell_scores(np.sqrt((E * E).sum(axis=1)))
+        mos, intell = self._shell_scores(np.sqrt(_sum_squares(E)))
         return sim, mos, intell
+
+
+# From this many rows _sum_squares adds whole columns: numpy reduces each row
+# of a .sum(axis=1) in its own inner-loop call, which on rows of 3 to 8
+# elements costs more than the arithmetic, while the column form costs a few
+# numpy calls whatever the row count. The two cross near 50 rows at 3 columns
+# and near 160 at 8, and the threshold keeps a margin; from 16 columns the
+# column form is the slower at every row count timed (README). Fine-tune
+# steps (7 rows), training (86) and evaluation (100) batches stay below the
+# threshold, oracle blocks above it.
+COLUMN_SUM_MIN_ROWS = 256
+
+
+def _sum_squares(X: np.ndarray) -> np.ndarray:
+    """(X * X).sum(axis=1), bit for bit. From COLUMN_SUM_MIN_ROWS rows of at
+    most 8 columns, the columns are added as whole arrays in the order of
+    numpy's pairwise sum of one row: in sequence below 8 columns, and as the
+    tree ((c0+c1)+(c2+c3))+((c4+c5)+(c6+c7)) at 8. Squares are never -0.0,
+    so starting from the first column rather than from 0.0 gives the same
+    bits."""
+    Q = X * X
+    n = Q.shape[1]
+    if len(Q) < COLUMN_SUM_MIN_ROWS or n > 8:
+        return Q.sum(axis=1)
+    if n == 8:
+        Q = Q[:, 0::2] + Q[:, 1::2]  # (c0+c1), (c2+c3), (c4+c5), (c6+c7)
+        Q = Q[:, 0::2] + Q[:, 1::2]
+        return Q[:, 0] + Q[:, 1]
+    s = Q[:, 0].copy()
+    for j in range(1, n):
+        s += Q[:, j]
+    return s
 
 
 class TradeoffEnv(_EnvBase):
@@ -411,12 +443,13 @@ class TradeoffEnv(_EnvBase):
 
 
 MAX_GRID_POINTS = 10_000_000
-# oracle_best scores the grid in blocks of this many rows: at d_s=32 each
-# (rows, d_s) float64 temporary is then 4 MB (plug-in scorers add a synth
-# of the whole block), stays in cache and is reused by the allocator
-# instead of being faulted in afresh; 200,000-row blocks took 1.5x the
-# time of a 128^3 grid (README)
-ORACLE_BLOCK_ROWS = 16_384
+# oracle_best scores the grid in blocks of at most this many rows. A block is
+# whole slabs (the trailing axes that fit in it), so the slab coordinates are
+# laid out once per call and each block writes only its leading columns; at
+# d_s=32 a (rows, d_s) float64 temporary is 1 MB, and a block's temporaries
+# stay in the 4 MiB L2 and are reused by the allocator. Of the caps timed on a
+# 128^3 grid and a 41-point zoom, 4,096 was the fastest (README)
+ORACLE_BLOCK_ROWS = 4_096
 
 
 def oracle_best(env: _EnvBase, profile: SpeakerProfile, f_t: np.ndarray,
@@ -428,7 +461,9 @@ def oracle_best(env: _EnvBase, profile: SpeakerProfile, f_t: np.ndarray,
     or one such triple per dimension. Ties resolve to the
     lexicographically smallest embedding (first in enumeration order),
     whatever the block size. Each dimension needs finite lo <= hi and an
-    integral points >= 1; ValueError names the first that has not.
+    integral points >= 1; ValueError names the first that has not, and
+    a grid of more than MAX_GRID_POINTS points raises ValueError before
+    anything is allocated.
     """
     d_e = profile.true_embedding.shape[0]
     if isinstance(grid_spec, tuple):
@@ -437,8 +472,6 @@ def oracle_best(env: _EnvBase, profile: SpeakerProfile, f_t: np.ndarray,
         specs = list(grid_spec)
         if len(specs) != d_e:
             raise ValueError(f"got {len(specs)} grid specs for {d_e} dimensions")
-    axes = []
-    total = 1
     for dim, (lo, hi, n) in enumerate(specs):
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             raise ValueError(f"grid dimension {dim}: bounds ({lo}, {hi}) must be "
@@ -446,23 +479,38 @@ def oracle_best(env: _EnvBase, profile: SpeakerProfile, f_t: np.ndarray,
         if not (n >= 1 and float(n).is_integer()):
             raise ValueError(f"grid dimension {dim}: points must be an integer "
                              f">= 1, got {n}")
-        axes.append(np.linspace(lo, hi, int(n)))
-        total *= int(n)
+    shape = [int(n) for _, _, n in specs]
+    total = math.prod(shape)
     if total > MAX_GRID_POINTS:
         raise ValueError(f"grid has {total} points, limit is {MAX_GRID_POINTS}")
-    shape = tuple(len(a) for a in axes)
+    axes = [np.linspace(lo, hi, n) for (lo, hi, _), n in zip(specs, shape)]
+    # the slab is axes j:, the longest run of trailing axes after the first
+    # whose points fit in a block (a grid that fits whole takes one block);
+    # when the last axis alone exceeds a block, the slab has no axes and one
+    # row, and the blocks enumerate the grid row by row
+    j = next((j for j in range(1, d_e) if math.prod(shape[j:]) <= ORACLE_BLOCK_ROWS), d_e)
+    slab = math.prod(shape[j:])
+    n_slabs = total // slab
+    per_block = min(ORACLE_BLOCK_ROWS // slab, n_slabs)
+    block = np.empty((per_block * slab, d_e))
+    grid = block.reshape(per_block, *shape[j:], d_e)
+    for k in range(j, d_e):
+        grid[..., k] = axes[k].reshape(-1, *[1] * (d_e - 1 - k))
+    slabs = block.reshape(per_block, slab, d_e)
     best_e = None
     best_sc = -np.inf
-    for start in range(0, total, ORACLE_BLOCK_ROWS):
-        # row-major flat indices enumerate the grid lexicographically
-        idx = np.unravel_index(
-            np.arange(start, min(start + ORACLE_BLOCK_ROWS, total)), shape)
-        block = np.stack([a[i] for a, i in zip(axes, idx)], axis=1)
-        sc = env.fused_batch(f_t, block, profile)
+    for start in range(0, n_slabs, per_block):
+        count = min(per_block, n_slabs - start)
+        # row-major flat indices of the slabs enumerate the grid lexicographically
+        lead = np.unravel_index(np.arange(start, start + count), shape[:j])
+        for k, idx in enumerate(lead):
+            slabs[:count, :, k] = axes[k][idx][:, None]
+        rows = block[:count * slab]
+        sc = env.fused_batch(f_t, rows, profile)
         i = int(np.argmax(sc))
-        if sc[i] > best_sc:
+        if sc[i] > best_sc:  # a later block must score strictly higher to win
             best_sc = float(sc[i])
-            best_e = block[i].copy()
+            best_e = rows[i].copy()  # the block is rewritten for the next one
     return best_e, best_sc
 
 

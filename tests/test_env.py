@@ -7,13 +7,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from asrrl import env as envmod
 from asrrl.core import FSAction, SSAction, StateLayout
 from asrrl.env import (
-    ORACLE_BLOCK_ROWS,
+    COLUMN_SUM_MIN_ROWS,
     EpisodeError,
     SpeakerProfile,
     SyntheticVoiceEnv,
     TradeoffEnv,
+    _sum_squares,
     oracle_best,
     oracle_zoom,
 )
@@ -172,6 +174,52 @@ def test_score_rows_is_the_reference_formula_bitwise(d_e, rows, per_row):
     want_fused = fuse_scores(SimpleNamespace(sim=want[0], mos=want[1], intell=want[2]),
                              env.weights)
     assert fused.tobytes() == want_fused.tobytes()
+
+
+def test_sum_squares_is_numpys_row_sum_bitwise():
+    rng = np.random.default_rng(23)
+    for width in range(1, 131):
+        for rows in (1, 7, COLUMN_SUM_MIN_ROWS - 1, COLUMN_SUM_MIN_ROWS, 700):
+            # zeros and magnitudes whose squares underflow, overflow or neither
+            X = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(
+                -200, 200, (rows, width))
+            X[rng.random((rows, width)) < 0.2] = 0.0
+            with np.errstate(over="ignore"):
+                got, want = _sum_squares(X), (X * X).sum(axis=1)
+            assert got.tobytes() == want.tobytes(), (width, rows)
+    X = rng.standard_normal((COLUMN_SUM_MIN_ROWS + 9, 16))
+    X[::7, 1], X[::5, 5], X[::11, 0] = np.nan, np.inf, -np.inf
+    for width in (3, 8, 16):
+        got, want = _sum_squares(X[:, :width]), (X[:, :width] ** 2).sum(axis=1)
+        assert np.isnan(got).any() and np.array_equal(got, want, equal_nan=True), width
+
+
+@pytest.mark.parametrize("per_row", [False, True])
+def test_score_rows_of_a_large_batch_equal_its_small_chunks_bitwise(per_row):
+    env = SyntheticVoiceEnv(d_e=3, d_t=2, seed=29)
+    rng = substream(29, "chunks")
+    # OpenBLAS rounds synth(...) @ V.T differently below about 1,000 rows
+    # (its small-matrix kernel), so V picks one speech feature per voiceprint
+    # element with a power-of-two gain: exact in any summation order, which
+    # leaves the norms, cosines and shell scores as the only batch-size
+    # dependence under test
+    env.V = np.zeros((env.d_v, env.d_s))
+    env.V[np.arange(env.d_v), rng.permutation(env.d_s)[:env.d_v]] = 2.0 ** rng.integers(
+        -2, 3, env.d_v)
+    p = env.make_profile(0, rng, k=1)
+    E = p.refs[0] + rng.choice([0.01, 0.1, 1.0], (5000, 1)) * rng.standard_normal((5000, 3))
+    if per_row:
+        F = rng.standard_normal((5000, env.d_t))
+        T = np.stack([env.make_profile(i, rng, k=1).target_voiceprint for i in range(5000)])
+        chunks = [(F[i:i + 20], E[i:i + 20], T[i:i + 20]) for i in range(0, 5000, 20)]
+    else:
+        F, T = rng.standard_normal(env.d_t), p.target_voiceprint
+        chunks = [(F, E[i:i + 20], T) for i in range(0, 5000, 20)]
+    whole = env.score_rows(F, E, T)
+    parts = [env.score_rows(*c) for c in chunks]
+    for kind in ("sim", "mos", "intell"):
+        joined = np.concatenate([getattr(x, kind) for x in parts])
+        assert getattr(whole, kind).tobytes() == joined.tobytes(), kind
 
 
 def test_score_state_is_the_two_exp_shell_bitwise():
@@ -454,6 +502,13 @@ def test_oracle_rejects_empty_and_oversized_grids():
         oracle_best(env, p, env.f_t_cal, (-1.0, 1.0, 0))
     with pytest.raises(ValueError, match="16000000"):
         oracle_best(env, p, env.f_t_cal, (-1.0, 1.0, 4000))
+    # the point count is checked before any axis is built
+    with pytest.MonkeyPatch.context() as mp:
+        def linspace_spy(*args, **kwargs):
+            raise AssertionError(f"np.linspace{args} called for an oversized grid")
+        mp.setattr(np, "linspace", linspace_spy)
+        with pytest.raises(ValueError, match="1000000000 points"):
+            oracle_best(env, p, env.f_t_cal, [(-1.0, 1.0, 10**9), (-1.0, 1.0, 1)])
     bad = [((0.5, -0.5, 11), "bounds"), ((0.0, np.nan, 11), "bounds"),
            ((-np.inf, 1.0, 11), "bounds"), ((0.0, 1.0, 2.7), "points"),
            ((0.0, 1.0, np.nan), "points"), ((0.0, 1.0, np.inf), "points"),
@@ -478,33 +533,44 @@ def test_oracle_dominates_raw_reference():
         assert sc >= env.fused(f_t, p.refs[0], p) - slack
 
 
-def test_oracle_chunks_match_one_meshgrid_argmax_and_ties_go_first():
-    env = SyntheticVoiceEnv(d_e=2, d_t=2, seed=17)
-    p = env.make_profile(0, substream(17, "corpus"), k=1)
-    lim = float(np.max(np.abs(p.refs))) + 0.1
-    e_best, sc = oracle_best(env, p, env.f_t_cal, (-lim, lim, 501))
-    axis = np.linspace(-lim, lim, 501)
-    mesh = np.meshgrid(axis, axis, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)
-    # at least three whole blocks and a ragged tail
-    assert len(points) >= 3 * ORACLE_BLOCK_ROWS and len(points) % ORACLE_BLOCK_ROWS
-    want = env.fused_batch(env.f_t_cal, points, p)
-    i = int(np.argmax(want))
-    assert e_best.tobytes() == points[i].tobytes() and sc == want[i]
-    # the tradeoff score ignores axis 1, so every value there ties
+def _meshgrid_argmax(env, p, f_t, specs):
+    """The grid's best row and score from one fused_batch over every point."""
+    axes = [np.linspace(lo, hi, n) for lo, hi, n in specs]
+    points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    sc = env.fused_batch(f_t, points, p)
+    i = int(np.argmax(sc))  # the first of tied maxima
+    return points[i], sc[i]
+
+
+def test_oracle_chunks_match_one_meshgrid_argmax_and_ties_go_first(monkeypatch):
+    # each block cap splits these grids in another way: slabs of two axes,
+    # of the last axis alone, the whole grid in one block, or a last axis
+    # longer than a block (rows enumerated one by one); every grid that takes
+    # more than one block ends in a ragged one
+    caps = (7, 64, 200, 1000)
+    for d_e, points in ((1, (303,)), (2, (37, 23)), (3, (11, 6, 13))):
+        env = SyntheticVoiceEnv(d_e=d_e, d_t=2, seed=17)
+        p = env.make_profile(0, substream(17, "corpus"), k=1)
+        lim = float(np.max(np.abs(p.refs))) + 0.1
+        specs = [(-lim, lim, n) for n in points]
+        want_e, want_sc = _meshgrid_argmax(env, p, env.f_t_cal, specs)
+        for cap in caps:
+            monkeypatch.setattr(envmod, "ORACLE_BLOCK_ROWS", cap)
+            e_best, sc = oracle_best(env, p, env.f_t_cal, specs)
+            assert e_best.tobytes() == want_e.tobytes() and sc == want_sc, (d_e, cap)
+    # the tradeoff score ignores axis 1, so every row of one axis-0 value
+    # ties: the first (axis 1 at its low end) wins when the tied rows sit in
+    # one block (an 11-point slab, from cap 64) and when they straddle blocks
+    # (1,001 points, longer than every block)
     tenv = TradeoffEnv(np.array([1.0, 0.0]), 0.2, d_t=2)
     tp = tenv.make_profile(0, substream(0, "s"), k=1)
-    e_best, _ = oracle_best(tenv, tp, np.zeros(2), [(-1.0, 1.0, 41), (-0.5, 0.5, 11)])
-    assert e_best[1] == -0.5
-    # 1,001 tied rows per axis-0 value: first wins both when the optimum's
-    # rows sit inside one block and when they straddle two
-    straddles = []
-    for lo, hi in ((-1.0, 1.0), (-0.6, 0.4)):
-        e_best, _ = oracle_best(tenv, tp, np.zeros(2), [(lo, hi, 41), (-0.5, 0.5, 1001)])
-        assert e_best[1] == -0.5
-        first = 1001 * int(np.flatnonzero(np.linspace(lo, hi, 41) == e_best[0])[0])
-        straddles.append(first // ORACLE_BLOCK_ROWS != (first + 1000) // ORACLE_BLOCK_ROWS)
-    assert straddles == [False, True]
+    for specs in ([(-1.0, 1.0, 41), (-0.5, 0.5, 11)], [(-0.6, 0.4, 41), (-0.5, 0.5, 1001)]):
+        want_e, want_sc = _meshgrid_argmax(tenv, tp, np.zeros(2), specs)
+        assert want_e[1] == -0.5
+        for cap in caps:
+            monkeypatch.setattr(envmod, "ORACLE_BLOCK_ROWS", cap)
+            e_best, sc = oracle_best(tenv, tp, np.zeros(2), specs)
+            assert e_best.tobytes() == want_e.tobytes() and sc == want_sc, cap
 
 
 def test_oracle_zoom_refines_monotonically():
