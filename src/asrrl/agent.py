@@ -269,30 +269,15 @@ class Adam:
         self.lr = lr
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
-        self._a = np.empty_like(params)  # work buffers for step
-        self._b = np.empty_like(params)
         self.t = 0
 
     def step(self, params: np.ndarray, grads: np.ndarray):
-        """params -= lr * (m / bc1) / (sqrt(v / bc2) + eps) after the moment
-        updates, in place; each product keeps the operand order of the
-        allocating expression, so the bits are the same."""
         self.t += 1
         bc1 = 1.0 - self.BETA1 ** self.t
         bc2 = 1.0 - self.BETA2 ** self.t
-        m, v, a, b = self.m, self.v, self._a, self._b
-        m *= self.BETA1  # m = BETA1 * m + (1 - BETA1) * g
-        m += np.multiply(1 - self.BETA1, grads, out=a)
-        v *= self.BETA2  # v = BETA2 * v + ((1 - BETA2) * g) * g
-        np.multiply(1 - self.BETA2, grads, out=a)
-        v += np.multiply(a, grads, out=a)
-        np.divide(m, bc1, out=a)
-        a *= self.lr
-        np.divide(v, bc2, out=b)
-        np.sqrt(b, out=b)
-        b += self.EPS
-        a /= b
-        params -= a
+        self.m = self.BETA1 * self.m + (1 - self.BETA1) * grads
+        self.v = self.BETA2 * self.v + (1 - self.BETA2) * grads * grads
+        params -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.EPS)
 
 
 def ppo_loss_and_grads(policy: PolicyNetwork, batch: RolloutBatch, *,
@@ -390,8 +375,8 @@ def _rng_from_hex(hex_state: str) -> np.random.Generator | None:
     if not hex_state:
         return None
     state = json.loads(bytes.fromhex(hex_state).decode("utf-8"))
-    bg_cls = getattr(np.random, state["bit_generator"])
-    bg = bg_cls()
+    # by name among numpy's bit generators, never any other np.random callable
+    bg = {c.__name__: c for c in np.random.BitGenerator.__subclasses__()}[state["bit_generator"]]()
     bg.state = state
     return np.random.Generator(bg)
 
@@ -459,18 +444,25 @@ def load_checkpoint(path) -> tuple[PolicyNetwork, RLConfig, int, np.random.Gener
             raise CheckpointError(f"checkpoint missing parameter {name!r}")
         entry = doc["params"][name]
         try:
-            data = np.asarray(entry["data"], dtype=np.float64)
-            shape = tuple(entry["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
+            data, shape = np.asarray(entry["data"], dtype=np.float64), entry["shape"]
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise CheckpointError(f"corrupt parameter {name!r}: {exc!r}") from exc
-        if data.size != int(np.prod(shape)) or shape != arr.shape:
+        # 64.0 == 64 and True == 1, so the entries' types are checked too
+        if (shape != list(arr.shape) or not all(type(n) is int for n in shape)
+                or data.size != arr.size):
             raise CheckpointError(
-                f"parameter {name!r} has shape {shape} with {data.size} values, "
-                f"expected shape {arr.shape}"
+                f"parameter {name!r} has shape {shape!r} with {data.size} values, "
+                f"expected shape {list(arr.shape)}"
             )
-        arr[...] = data.reshape(shape)
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"parameter {name!r} has non-finite values")
+        arr[...] = data.reshape(arr.shape)
     try:
-        step, rng = int(doc["step"]), _rng_from_hex(doc.get("rng", ""))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"corrupt checkpoint step or rng: {exc!r}") from exc
+        step = int(doc["step"])
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"corrupt checkpoint step: {exc!r}") from exc
+    try:  # a bit generator refuses a bad state with errors of several kinds
+        rng = _rng_from_hex(doc.get("rng", ""))
+    except Exception as exc:
+        raise CheckpointError(f"corrupt checkpoint rng: {exc!r}") from exc
     return policy, config, step, rng

@@ -1,7 +1,7 @@
 """Command-line front-end.
 
-Exit codes: 0 success, 2 config error, 3 divergence abort, 4 I/O error
-(including an unreadable or malformed checkpoint).
+Exit codes: 0 success, 2 config error, 3 divergence abort (also a
+non-finite or rejected PPO update), 4 I/O error (also a bad checkpoint).
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .agent import CheckpointError
+from .agent import CheckpointError, UpdateRejected
 from .core import RLConfig
 from .harness import (
     SWEEP_AXES,
@@ -161,7 +161,7 @@ def main(argv=None) -> None:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         code = EXIT_CONFIG
-    except DivergenceError as exc:
+    except (DivergenceError, FloatingPointError, UpdateRejected) as exc:
         print(f"divergence abort: {exc}", file=sys.stderr)
         code = EXIT_DIVERGED
     except (OSError, CheckpointError) as exc:

@@ -128,14 +128,13 @@ class _EnvBase:
                     profile: SpeakerProfile) -> ScoreTriple:
         return self.score_rows(f_t, e, profile.target_voiceprint)
 
-    def fused(self, f_t, e, profile: SpeakerProfile) -> float:
-        return fuse_scores(self.score_state(f_t, e, profile), self.weights)
-
     def fused_batch(self, f_t: np.ndarray, E: np.ndarray,
-                    profile: SpeakerProfile) -> np.ndarray:
-        """Fused scores of the rows of E for one speaker and text."""
+                    profile: SpeakerProfile) -> float | np.ndarray:
+        """Fused score of one embedding E (d_e,), or array of the rows of E (N, d_e)."""
         return fuse_scores(self.score_rows(f_t, E, profile.target_voiceprint),
                            self.weights)
+
+    fused = fused_batch
 
     def score_rows(self, F: np.ndarray, E: np.ndarray, targets: np.ndarray):
         """Scores of one embedding E (d_e,) as a ScoreTriple, or (sim, mos, intell)
@@ -174,16 +173,10 @@ class _EnvBase:
     def state(self, f_t: np.ndarray, e: np.ndarray,
               f_rv: np.ndarray | None) -> np.ndarray:
         """Flattened state; e_s and f_sv are the posteriors of synth(f_t, e)."""
-        optional = {}
-        if self.layout.include_f_rv:
-            optional["f_rv"] = f_rv
+        e_s = f_sv = None
         if self.layout.include_e_s or self.layout.include_f_sv:
             e_s, f_sv = self._posterior(self.synth(f_t, e))
-            if self.layout.include_e_s:
-                optional["e_s"] = e_s
-            if self.layout.include_f_sv:
-                optional["f_sv"] = f_sv
-        return self.layout.flatten(f_t, e, **optional)
+        return self.layout.flatten(f_t, e, f_rv, e_s, f_sv)
 
     def move(self, e: np.ndarray, refs: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Embedding after one action: SS adds action_scale * u (the squashed
@@ -254,7 +247,7 @@ class SyntheticVoiceEnv(_EnvBase):
                  seed: int = 0, scenario: str = "ss", step_budget: int | None = None,
                  action_scale: float = 0.001, weights: RewardWeights = RewardWeights(),
                  layout: StateLayout | None = None, sigma_star: float = 0.005,
-                 sigma_ref: float = 0.05, r_shell: float | None = None):
+                 sigma_ref: float = 0.05):
         layout = layout or StateLayout(d_t=d_t, d_e=d_e, d_v=d_v)
         super().__init__(layout, scenario, step_budget, action_scale, weights)
         self.d_e, self.d_t, self.d_s, self.d_v = d_e, d_t, d_s, d_v
@@ -266,7 +259,7 @@ class SyntheticVoiceEnv(_EnvBase):
         # and the hidden optimum lies safely inside
         ref_norm = math.sqrt(self.MU_NORM ** 2
                              + (sigma_star ** 2 + sigma_ref ** 2) * d_e)
-        self.r_shell = float(r_shell) if r_shell is not None else 1.5 * ref_norm
+        self.r_shell = 1.5 * ref_norm
         # small text/bias pathways keep tanh in its linear regime, so the
         # voiceprint angle responds to embedding moves at the default
         # 0.001 action scale

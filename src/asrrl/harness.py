@@ -578,8 +578,6 @@ def finetune_proxy(env, profile, f_t, *, steps: int = 2000,
     e = mean_init(profile.refs)
     d = e.shape[0]
     best_e, best_sc = e.copy(), env.fused(f_t, e, profile)
-    if step_size == 0.0:
-        return best_e, best_sc
     stencil = np.concatenate([np.zeros((1, d)), h * np.eye(d), -h * np.eye(d)])
     for _ in range(steps):
         sc = env.fused_batch(f_t, e + stencil, profile)

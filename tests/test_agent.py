@@ -2,12 +2,15 @@
 
 import io
 import json
+import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from asrrl import agent
@@ -552,6 +555,28 @@ def test_checkpoint_missing_file(tmp_path):
         load_checkpoint(tmp_path / "absent.json")
 
 
+def _param_edit(name, key, value):
+    """A checkpoint edit that sets params[name][key] (data[i] for key ("data", i))."""
+    def edit(doc):
+        entry = doc["params"][name]
+        if isinstance(key, tuple):
+            entry[key[0]][key[1]] = value
+        else:
+            entry[key] = value
+        return doc
+    return edit
+
+
+def _rng_edit(state):
+    """A checkpoint edit that stores state (a dict, or a function of the saved
+    one) as the rng."""
+    def edit(doc):
+        saved = json.loads(bytes.fromhex(doc["rng"]))
+        doc["rng"] = json.dumps(state(saved) if callable(state) else state).encode().hex()
+        return doc
+    return edit
+
+
 @pytest.mark.parametrize("mutate, match", [
     pytest.param(lambda doc: [1, 2], "JSON object", id="not-object"),
     pytest.param(lambda doc: {"version": 1}, "missing config, params, step",
@@ -576,6 +601,19 @@ def test_checkpoint_missing_file(tmp_path):
     pytest.param(lambda doc: {**doc, "rng": "zz"}, "rng", id="bad-rng-hex"),
     pytest.param(lambda doc: {**doc, "rng": json.dumps(
         {"bit_generator": "Nope"}).encode().hex()}, "rng", id="unknown-bit-generator"),
+    pytest.param(_param_edit("trunk.b", "shape", ["x"]), "shape", id="shape-of-strings"),
+    pytest.param(_param_edit("trunk.b", "shape", "4"), "shape", id="shape-a-string"),
+    pytest.param(_param_edit("trunk.b", "shape", [4.0]), "shape", id="shape-of-floats"),
+    pytest.param(_param_edit("trunk.W", ("data", 5), math.nan), "non-finite",
+                 id="nan-parameter"),
+    pytest.param(_param_edit("mean.b", ("data", 0), -math.inf), "non-finite",
+                 id="infinite-parameter"),
+    pytest.param(_rng_edit(lambda s: {**s, "state": {**s["state"], "state": 2**200}}),
+                 "rng", id="pcg64-state-too-large"),
+    pytest.param(_rng_edit(lambda s: {**s, "state": {**s["state"], "state": -1}}),
+                 "rng", id="pcg64-state-negative"),
+    pytest.param(_rng_edit({"bit_generator": "MT19937", "state": {"key": [1, 2, 3], "pos": 0}}),
+                 "rng", id="mt19937-short-key"),
 ])
 def test_checkpoint_malformed_document_is_a_checkpoint_error(tmp_path, mutate, match):
     path = tmp_path / "ck.json"
@@ -586,3 +624,55 @@ def test_checkpoint_malformed_document_is_a_checkpoint_error(tmp_path, mutate, m
     path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(path)
+
+
+def test_checkpoint_rng_names_only_a_numpy_bit_generator(tmp_path, monkeypatch):
+    """The rng's bit_generator is looked up among numpy's bit generators, so
+    a checkpoint cannot make the loader call another np.random function."""
+    calls = []
+    monkeypatch.setattr(np.random, "seed", lambda *args: calls.append(args))
+    path = tmp_path / "ck.json"
+    save_checkpoint(_policy("ss"), path, config=RLConfig(d_e=2, d_t=2, hidden=4, k=2),
+                    rng=np.random.default_rng(0))
+    doc = _rng_edit({"bit_generator": "seed"})(json.loads(path.read_text()))
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match="rng"):
+        load_checkpoint(path)
+    assert calls == []
+
+
+# arbitrary JSON, kept small: ints past 2**64 and 2**128, NaN and infinities
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**200, 2**200) | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+# where the value goes: a whole params entry, its shape, its data or one
+# datum; step; the rng field, or one field of the rng state it encodes
+_fuzz_sites = ([("params", n, *key) for n in ("trunk.W", "value.b", "log_std")
+                for key in ((), ("shape",), ("data",), ("data", 0))]
+               + [("step",), ("rng",), ("rng", "state", "state"), ("rng", "state", "inc"),
+                  ("rng", "has_uint32"), ("rng", "uinteger")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(site=st.sampled_from(_fuzz_sites), value=_json_values)
+def test_checkpoint_fuzzed_field_loads_or_is_a_checkpoint_error(tmp_path_factory, site, value):
+    """Each load returns a policy with finite parameters or raises CheckpointError."""
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    save_checkpoint(_policy("ss"), path, config=RLConfig(d_e=2, d_t=2, hidden=4, k=2),
+                    rng=np.random.default_rng(0))
+    doc = json.loads(path.read_text())
+    in_rng = site[0] == "rng" and len(site) > 1
+    root = node = json.loads(bytes.fromhex(doc["rng"])) if in_rng else doc
+    for key in site[in_rng:-1]:
+        node = node[key]
+    node[site[-1]] = value
+    if in_rng:
+        doc["rng"] = json.dumps(root).encode().hex()
+    path.write_text(json.dumps(doc))
+    try:
+        policy, *_ = load_checkpoint(path)
+    except CheckpointError:
+        return
+    assert np.isfinite(policy.flat).all()

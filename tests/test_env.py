@@ -487,7 +487,8 @@ def test_out_of_range_plugin_raises_from_batch_paths():
 # -- grid oracle -----------------------------------------------------------
 
 def test_oracle_recovers_known_optimum_1d():
-    env = SyntheticVoiceEnv(d_e=1, d_t=2, seed=7, r_shell=1.0)
+    env = SyntheticVoiceEnv(d_e=1, d_t=2, seed=7)
+    env.r_shell = 1.0
     e_star = np.array([0.3])
     target = env.voiceprint(env.f_t_cal, e_star)
     p = SpeakerProfile(0, e_star, np.array([[0.1]]), target)

@@ -16,7 +16,8 @@ import pytest
 
 import asrrl.harness as harness
 from asrrl import cli
-from asrrl.agent import CheckpointError, PolicyNetwork, load_checkpoint, select_action
+from asrrl.agent import (CheckpointError, PolicyNetwork, UpdateRejected, load_checkpoint,
+                         select_action)
 from asrrl.core import RLConfig, StateLayout, mean_init
 from asrrl.env import SyntheticVoiceEnv, TradeoffEnv
 from asrrl.harness import (
@@ -1184,6 +1185,47 @@ def test_cli_exit_codes(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["eval", "--checkpoint", str(ck), "--corpus", str(corpus_path)])
         assert exc.value.code == 4, ck.name
+
+
+# numpy warns on its way to the non-finite output that the CLI reports
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_training_blowups_exit_3_and_a_nan_checkpoint_exits_4(tmp_path, capsys):
+    corpus_path = tmp_path / "c.tsv"
+    _cli("gen-data", "--seed", "1", "--speakers", "3", "--refs", "1",
+         "--dim-e", "2", "--dim-t", "2", "--out", str(corpus_path))
+    cfg_path = tmp_path / "run.cfg"
+    train_argv = ["train", "--corpus", str(corpus_path), "--config", str(cfg_path),
+                  "--out", str(tmp_path / "runs")]
+    # a step size that sends the parameters to inf: FloatingPointError
+    cfg_path.write_text("train_iters=3\nrollout_batch=8\nhidden=4\nlearning_rate = 1e300\n")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(train_argv)
+    assert exc.value.code == 3
+    assert "divergence abort: non-finite network output" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+    # a rejected PPO batch
+    cfg_path.write_text("train_iters=1\nrollout_batch=8\nhidden=4\n")
+
+    def reject(*args):
+        raise UpdateRejected("importance ratio exploded (max 2e+03 > 1e+03)")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "ppo_update", reject)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(train_argv)
+    assert exc.value.code == 3
+    assert "importance ratio exploded" in capsys.readouterr().err
+    # a NaN parameter is refused at load (4) before any forward pass
+    assert _cli(*train_argv) == 0
+    checkpoint = tmp_path / "runs" / "run" / "checkpoint.json"
+    doc = json.loads(checkpoint.read_text())
+    doc["params"]["trunk.W"]["data"][3] = math.nan
+    checkpoint.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "--checkpoint", str(checkpoint), "--corpus", str(corpus_path)])
+    assert exc.value.code == 4
+    assert "parameter 'trunk.W' has non-finite values" in capsys.readouterr().err
 
 
 def test_the_mlp_encoder_is_refused_everywhere(tmp_path, corpus, capsys):
