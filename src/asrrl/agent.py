@@ -346,14 +346,21 @@ def ppo_update(policy: PolicyNetwork, batch: RolloutBatch, config: RLConfig,
                optimizer: Adam) -> dict:
     """Run config.update_epochs full-batch optimizer steps on the clipped
     objective with config's clip_epsilon, value_coef and entropy_coef;
-    returns the last report."""
+    returns the last report. An overflow or invalid operation in an epoch
+    is a FloatingPointError naming the epoch and the learning rate."""
     if config.update_epochs < 1:
         raise ValueError("update_epochs must be >= 1")
     report = {}
-    for _ in range(config.update_epochs):
-        _, grads, report = _ppo_pass(policy, batch, config.clip_epsilon,
-                                     config.value_coef, config.entropy_coef)
-        optimizer.step(policy.flat, grads)
+    for epoch in range(1, config.update_epochs + 1):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                _, grads, report = _ppo_pass(policy, batch, config.clip_epsilon,
+                                             config.value_coef, config.entropy_coef)
+                optimizer.step(policy.flat, grads)
+        except FloatingPointError as exc:
+            raise FloatingPointError(
+                f"PPO update epoch {epoch} of {config.update_epochs} at learning_rate="
+                f"{config.learning_rate!r}: {exc}") from None
         np.clip(policy.params["log_std"], LOG_STD_MIN, LOG_STD_MAX,
                 out=policy.params["log_std"])
     return report
@@ -457,12 +464,13 @@ def load_checkpoint(path) -> tuple[PolicyNetwork, RLConfig, int, np.random.Gener
         if not np.isfinite(data).all():
             raise CheckpointError(f"parameter {name!r} has non-finite values")
         arr[...] = data.reshape(arr.shape)
-    try:
-        step = int(doc["step"])
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"corrupt checkpoint step: {exc!r}") from exc
+    step, hex_rng = doc["step"], doc.get("rng", "")
+    if type(step) is not int or step < 0:  # not a bool, a float or a string
+        raise CheckpointError(f"corrupt checkpoint step {step!r}: need an integer >= 0")
+    if type(hex_rng) is not str:
+        raise CheckpointError(f"corrupt checkpoint rng {hex_rng!r}: need a hex string")
     try:  # a bit generator refuses a bad state with errors of several kinds
-        rng = _rng_from_hex(doc.get("rng", ""))
+        rng = _rng_from_hex(hex_rng)
     except Exception as exc:
         raise CheckpointError(f"corrupt checkpoint rng: {exc!r}") from exc
     return policy, config, step, rng

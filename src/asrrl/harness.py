@@ -229,30 +229,23 @@ def load_corpus(path) -> Corpus:
 TRADEOFF_TAU = 0.2
 TRADEOFF_SPEAKERS = 20
 TRADEOFF_TEXTS = 4
+EVAL_EPISODES = 100  # rl episodes per evaluated speaker
 
 
 @dataclass
 class ExperimentSpec:
-    """One experiment. The reward lambdas always come from ``config``;
-    ``weights`` contributes only its ``enable_*`` term toggles."""
+    """One experiment; the reward lambdas are config's lambda1 and lambda2."""
 
     config: RLConfig = field(default_factory=RLConfig)
     scenario: str = "ss"
     env_kind: str = "voice"  # voice | tradeoff
     eval_frac: float = 0.2
-    eval_episodes: int = 100
     run_id: str = "run"
     out_dir: Path = Path("runs")
-    weights: RewardWeights = field(default_factory=RewardWeights)
     include_f_t: bool = True
     include_f_rv: bool = False
     include_e_s: bool = False
     include_f_sv: bool = False
-
-    def __post_init__(self):
-        # runs again on every dataclasses.replace, so the two never drift
-        self.weights = replace(self.weights, lambda1=self.config.lambda1,
-                               lambda2=self.config.lambda2)
 
     def layout(self, d_v: int = 0) -> StateLayout:
         return StateLayout(
@@ -277,6 +270,7 @@ def build_env(spec: ExperimentSpec, corpus: Corpus | None):
     tradeoff environment draws its speakers on the fly from the seed.
     """
     cfg = spec.config
+    weights = RewardWeights(cfg.lambda1, cfg.lambda2)
     if spec.env_kind == "voice":
         if corpus is None:
             raise ConfigError("voice environment requires a corpus")
@@ -292,7 +286,7 @@ def build_env(spec: ExperimentSpec, corpus: Corpus | None):
             d_e=m["d_e"], d_t=m["d_t"], d_s=m["d_s"], d_v=m["d_v"],
             seed=m["seed"], scenario=spec.scenario,
             step_budget=spec.step_budget, action_scale=cfg.action_scale,
-            weights=spec.weights, layout=spec.layout(d_v=m["d_v"]),
+            weights=weights, layout=spec.layout(d_v=m["d_v"]),
             sigma_star=m["sigma_star"], sigma_ref=m["sigma_ref"],
         )
         try:
@@ -307,7 +301,7 @@ def build_env(spec: ExperimentSpec, corpus: Corpus | None):
         env = TradeoffEnv(
             w, TRADEOFF_TAU, d_t=cfg.d_t, scenario=spec.scenario,
             step_budget=spec.step_budget, action_scale=cfg.action_scale,
-            weights=spec.weights, layout=spec.layout(),
+            weights=weights, layout=spec.layout(),
         )
         srng = substream(cfg.seed, "tradeoff-speakers")
         k = 1 if spec.scenario == "ss" else cfg.k
@@ -486,16 +480,15 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
              variants: tuple[str, ...] = ("rl", "raw")) -> EvalResult:
     """Mode-action evaluation on split_speakers' "eval" or "train" split.
 
-    The rl variant plays spec.eval_episodes episodes per speaker, episode
+    The rl variant plays EVAL_EPISODES episodes per speaker, episode
     i on text i % n_texts, in one lockstep run_episodes call with zero
     noise; its rows are within about 1e-16 of one-at-a-time play. Each
     baseline scores one embedding per (speaker, text): raw the mean of
     the references, finetune finetune_proxy's best, oracle the grid
     oracle's (oracle_best refuses grids too large for d_e). A text's
     baseline rows come in the order raw, finetune, oracle, whatever the
-    order of variants. Another variant or split, rl without a policy or
-    with eval_episodes not an integer >= 1, or a policy of another state
-    layout or, in FS, another k is a ConfigError.
+    order of variants. Another variant or split, rl without a policy, or
+    a policy of another state layout or, in FS, another k is a ConfigError.
     """
     unknown = sorted(set(variants) - {"rl", "raw", "finetune", "oracle"})
     if unknown or ("rl" in variants and policy is None):
@@ -503,10 +496,7 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
                           f"rl (which needs a policy), raw, finetune and oracle")
     if split not in ("eval", "train"):
         raise ConfigError(f"unknown split {split!r}: the splits are eval and train")
-    n = spec.eval_episodes
-    if "rl" in variants and (isinstance(n, bool) or not isinstance(n, (int, np.integer))
-                             or n < 1):
-        raise ConfigError(f"eval_episodes must be an integer >= 1, got {n!r}")
+    n = EVAL_EPISODES
     cfg = spec.config
     env, profiles, texts = build_env(spec, corpus)
     if policy is not None and policy.layout != env.layout:
@@ -543,7 +533,7 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
                     e, _ = oracle_zoom(env, profile, f_t, -lim, lim)
                 triple = env.score_state(f_t, e, profile)
                 rows.append(_score_row(spec, ti, profile.speaker_id, variant,
-                                       triple, fuse_scores(triple, spec.weights)))
+                                       triple, fuse_scores(triple, env.weights)))
     return EvalResult(rows)
 
 
@@ -639,11 +629,11 @@ def sweep(spec: ExperimentSpec, axis: str, values, corpus: Corpus | None = None)
 
 
 SCORE_TERM_VARIANTS = {
-    # Reward-term toggles: (enable_mos, enable_intell)
-    "sim+mos+intell": (True, True),
-    "sim+intell": (False, True),
-    "sim+mos": (True, False),
-    "sim_only": (False, False),
+    # the lambdas a reward variant sets to 0, dropping their terms
+    "sim+mos+intell": (),
+    "sim+intell": ("lambda1",),
+    "sim+mos": ("lambda2",),
+    "sim_only": ("lambda1", "lambda2"),
 }
 
 
@@ -654,13 +644,13 @@ def ablate(spec: ExperimentSpec, mode: str, corpus: Corpus | None = None):
     environment. mode="state_segments": the 16-cell grid over prior
     segments {f_rv, f_t} x posterior segments {e_s, f_sv} on the voice
     environment; the embedding segment itself can never be disabled.
-    Every cell is evaluated under spec.weights, whatever reward it
+    Every cell is evaluated under spec.config's reward, whatever reward it
     trained on.
     """
     if mode == "score_terms":
-        cells = {name: replace(spec, env_kind="tradeoff", weights=replace(
-                     spec.weights, enable_mos=en_mos, enable_intell=en_int))
-                 for name, (en_mos, en_int) in SCORE_TERM_VARIANTS.items()}
+        cells = {name: replace(spec, env_kind="tradeoff",
+                               config=spec.config.with_overrides(**dict.fromkeys(zeroed, 0.0)))
+                 for name, zeroed in SCORE_TERM_VARIANTS.items()}
     elif mode == "state_segments":
         cells = {f"frv{int(f_rv)}_ft{int(f_t)}_es{int(e_s)}_fsv{int(f_sv)}": replace(
                      spec, env_kind="voice", include_f_rv=f_rv, include_f_t=f_t,
@@ -674,7 +664,7 @@ def ablate(spec: ExperimentSpec, mode: str, corpus: Corpus | None = None):
     for name, point in cells.items():
         point = replace(point, run_id=f"{spec.run_id}-{name}")
         policy, _ = train(point, corpus, write_outputs=False)
-        result = evaluate(policy, replace(point, weights=spec.weights), corpus)
+        result = evaluate(policy, replace(point, config=spec.config), corpus)
         rows += [{**r, "ablation": name} for r in result.rows]
     spec.run_dir.mkdir(parents=True, exist_ok=True)
     write_rows(spec.run_dir / f"ablate_{mode}.csv", rows,
@@ -703,7 +693,8 @@ def read_rows(path) -> list[dict]:
 # -- flat config files -----------------------------------------------------
 
 def parse_config_file(path) -> RLConfig:
-    """Flat key=value config with # comments; every RLConfig field works, once."""
+    """Flat key=value config with # comments; every RLConfig field but the
+    corpus's d_e, d_t and k works, once."""
     import dataclasses
 
     fields = {f.name: f.type for f in dataclasses.fields(RLConfig)}
@@ -717,6 +708,9 @@ def parse_config_file(path) -> RLConfig:
             key, val = key.strip(), val.strip()
             if not sep or key not in fields:
                 raise ConfigError(f"{path}:{lineno}: unknown or malformed entry {raw.strip()!r}")
+            if key in ("d_e", "d_t", "k"):
+                raise ConfigError(f"{path}:{lineno}: {key} cannot be set here; "
+                                  f"the corpus sets it")
             if key in overrides:
                 raise ConfigError(f"{path}:{lineno}: key {key!r} repeated")
             kind = str if key == "encoder" else int if fields[key] in ("int", int) else float

@@ -71,10 +71,10 @@ class ScoreTriple:
 
 @dataclass(frozen=True)
 class RewardWeights:
+    """The fused score's (lambda1, lambda2); a weight of 0 drops its term."""
+
     lambda1: float = 0.5
     lambda2: float = 0.1
-    enable_mos: bool = True
-    enable_intell: bool = True
 
     def __post_init__(self):
         if not (0 <= self.lambda1 < math.inf and 0 <= self.lambda2 < math.inf):
@@ -87,15 +87,9 @@ def fuse_scores(t: ScoreTriple, w: RewardWeights = RewardWeights()):
 
     ``t`` may hold floats (a ScoreTriple) or equal-length arrays, which
     give an array of fused scores; inputs are never modified. With
-    default weights the result lies in [-0.1, 1.5]. A disabled term
-    contributes exactly 0, identical to setting its weight to 0.
+    default weights the result lies in [-0.1, 1.5].
     """
-    sc = t.sim
-    if w.enable_mos:
-        sc = sc + w.lambda1 * (t.mos / 5.0)
-    if w.enable_intell:
-        sc = sc - w.lambda2 * t.intell
-    return sc
+    return t.sim + w.lambda1 * (t.mos / 5.0) - w.lambda2 * t.intell
 
 
 @dataclass(frozen=True)

@@ -259,11 +259,11 @@ def test_criterion_9_score_ablation_direction(workdir):
                               out_dir=workdir, run_id=f"abl{seed}")
         out = {}
         for name in ("sim+mos+intell", "sim_only"):
-            en_mos, en_int = SCORE_TERM_VARIANTS[name]
-            w = replace(spec.weights, enable_mos=en_mos, enable_intell=en_int)
-            point = replace(spec, weights=w, run_id=f"abl{seed}-{name}")
+            zeroed = dict.fromkeys(SCORE_TERM_VARIANTS[name], 0.0)
+            point = replace(spec, config=cfg.with_overrides(**zeroed),
+                            run_id=f"abl{seed}-{name}")
             policy, _ = train(point, None, write_outputs=False)
-            res = evaluate(policy, replace(point, weights=spec.weights), None,
+            res = evaluate(policy, replace(point, config=cfg), None,
                            variants=("rl",))
             out[name] = (res.mean("rl", "sim"), res.mean("rl", "mos"))
         d_sim.append(out["sim_only"][0] - out["sim+mos+intell"][0])

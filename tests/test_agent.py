@@ -3,13 +3,14 @@
 import io
 import json
 import math
+import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -598,6 +599,13 @@ def _rng_edit(state):
                  "gamma", id="invalid-config-value"),
     pytest.param(lambda doc: {**doc, "params": 5}, "params", id="params-not-object"),
     pytest.param(lambda doc: {**doc, "step": "many"}, "step", id="bad-step"),
+    # step is a JSON integer >= 0 and rng a string ("" for none), never coerced
+    *[pytest.param(lambda doc, k=k, v=v: {**doc, k: v}, re.escape(f"{k} {v!r}"), id=name)
+      for k, v, name in [("step", 2.7, "step-fraction"), ("step", 5.0, "step-float"),
+                         ("step", "5", "step-string"), ("step", True, "step-bool"),
+                         ("step", -3, "step-negative"), ("step", None, "step-null"),
+                         ("rng", [], "rng-list"), ("rng", 0, "rng-zero"),
+                         ("rng", False, "rng-false"), ("rng", None, "rng-null")]],
     pytest.param(lambda doc: {**doc, "rng": "zz"}, "rng", id="bad-rng-hex"),
     pytest.param(lambda doc: {**doc, "rng": json.dumps(
         {"bit_generator": "Nope"}).encode().hex()}, "rng", id="unknown-bit-generator"),
@@ -657,8 +665,17 @@ _fuzz_sites = ([("params", n, *key) for n in ("trunk.W", "value.b", "log_std")
 
 @settings(max_examples=200, deadline=None)
 @given(site=st.sampled_from(_fuzz_sites), value=_json_values)
+@example(site=("step",), value=2.7)
+@example(site=("step",), value="5")
+@example(site=("step",), value=True)
+@example(site=("step",), value=-3)
+@example(site=("rng",), value=[])
+@example(site=("rng",), value=0)
+@example(site=("rng",), value=False)
 def test_checkpoint_fuzzed_field_loads_or_is_a_checkpoint_error(tmp_path_factory, site, value):
-    """Each load returns a policy with finite parameters or raises CheckpointError."""
+    """Each load returns a policy with finite parameters, a step that is a
+    JSON integer >= 0 and an rng that is None only for an rng of "", or
+    raises CheckpointError."""
     path = tmp_path_factory.getbasetemp() / "fuzzed.json"
     save_checkpoint(_policy("ss"), path, config=RLConfig(d_e=2, d_t=2, hidden=4, k=2),
                     rng=np.random.default_rng(0))
@@ -672,7 +689,9 @@ def test_checkpoint_fuzzed_field_loads_or_is_a_checkpoint_error(tmp_path_factory
         doc["rng"] = json.dumps(root).encode().hex()
     path.write_text(json.dumps(doc))
     try:
-        policy, *_ = load_checkpoint(path)
+        policy, _, step, rng = load_checkpoint(path)
     except CheckpointError:
         return
     assert np.isfinite(policy.flat).all()
+    assert type(step) is int and step >= 0
+    assert (rng is None) == (site == ("rng",) and value == "")

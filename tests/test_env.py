@@ -117,7 +117,8 @@ def test_optimum_dominates_grid_d2():
 def test_fused_batch_matches_scalar_fused(kind, toggles):
     # the two paths compute the voiceprint with different matrix products,
     # so they agree to a few ulps, not bit for bit
-    w = RewardWeights(enable_mos=toggles[0], enable_intell=toggles[1])
+    # toggles keep (mos, intell) at their default lambda or drop them with 0
+    w = RewardWeights(0.5 * toggles[0], 0.1 * toggles[1])
     if kind == "voice":
         env = SyntheticVoiceEnv(d_e=4, d_t=3, seed=2, weights=w)
     else:

@@ -7,6 +7,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -17,7 +19,7 @@ import pytest
 import asrrl.harness as harness
 from asrrl import cli
 from asrrl.agent import (CheckpointError, PolicyNetwork, UpdateRejected, load_checkpoint,
-                         select_action)
+                         save_checkpoint, select_action)
 from asrrl.core import RLConfig, StateLayout, mean_init
 from asrrl.env import SyntheticVoiceEnv, TradeoffEnv
 from asrrl.harness import (
@@ -46,8 +48,7 @@ def _tiny_spec(tmp_path, corpus, **over):
     cfg = RLConfig(d_e=corpus.meta["d_e"], d_t=corpus.meta["d_t"],
                    k=corpus.meta["k"], **kw)
     return ExperimentSpec(config=cfg, scenario="ss" if corpus.meta["k"] == 1
-                          else "fs", run_id="t", out_dir=tmp_path,
-                          eval_episodes=5)
+                          else "fs", run_id="t", out_dir=tmp_path)
 
 
 @pytest.fixture()
@@ -282,7 +283,7 @@ def test_run_episode_scores_each_state_once(corpus, monkeypatch):
     # one score at the start, one per step
     assert len(calls) == 1 + spec.step_budget
     assert ep["rewards"].shape == (spec.step_budget,)
-    assert ep["final_fused"] == fuse_scores(ep["final_scores"], spec.weights)
+    assert ep["final_fused"] == fuse_scores(ep["final_scores"], env.weights)
     assert ep["rewards"].sum() == pytest.approx(
         ep["final_fused"] - ep["initial_fused"], abs=1e-12)
 
@@ -523,7 +524,7 @@ def test_evaluate_row_counts_and_summary_consistency(tmp_path, corpus):
     result = evaluate(policy, spec, corpus)
     _, eval_idx = corpus.split(spec.eval_frac)
     rl_rows = [r for r in result.rows if r["variant"] == "rl"]
-    assert len(rl_rows) == len(eval_idx) * spec.eval_episodes
+    assert len(rl_rows) == len(eval_idx) * harness.EVAL_EPISODES
     # summary must be recomputable from the raw rows
     for srow in result.summary():
         sel = [r for r in result.rows if r["variant"] == srow["variant"]]
@@ -541,7 +542,7 @@ def _assert_rows_match_one_at_a_time_play(spec, corpus, policy):
     _, eval_idx = harness.split_speakers(len(profiles), spec.eval_frac)
     want = []
     for si in eval_idx:
-        for ei in range(spec.eval_episodes):
+        for ei in range(harness.EVAL_EPISODES):
             ep = harness.run_episode(env, policy, profiles[si],
                                      texts[si][ei % len(texts[si])], mode="mode")
             want.append(harness._score_row(spec, ei, profiles[si].speaker_id,
@@ -559,28 +560,48 @@ def _assert_rows_match_one_at_a_time_play(spec, corpus, policy):
 
 
 @pytest.mark.parametrize("n_texts", [2, 3, 4])
-@pytest.mark.parametrize("eval_episodes", [1, 3, 7, 100])
-def test_evaluate_rows_match_one_at_a_time_play(tmp_path, eval_episodes,
-                                                n_texts):
+@pytest.mark.parametrize("n", [1, 3, 7, 100])
+def test_evaluate_rows_match_one_at_a_time_play(tmp_path, n, n_texts):
+    """evaluate's lockstep call for one speaker, run_episodes on n copies of
+    its refs with its target broadcast, its texts cycled and zero noise,
+    plays episode i within 1e-12 of one-at-a-time mode play on text
+    i % n_texts; at n = EVAL_EPISODES, evaluate's own rows match too."""
     corpus = gen_corpus(9, 10, 1, 4, 3, n_texts, tmp_path / "c.tsv")
-    spec = replace(_tiny_spec(tmp_path, corpus), eval_episodes=eval_episodes)
-    env, _, _ = build_env(spec, corpus)
+    spec = _tiny_spec(tmp_path, corpus)
+    env, profiles, texts = build_env(spec, corpus)
     policy = PolicyNetwork(env.layout, "ss", k=1, hidden=8,
                            rng=substream(3, "policy-init"))
     policy.params["mean.W"] *= 100.0  # the mode action moves the embedding
-    _assert_rows_match_one_at_a_time_play(spec, corpus, policy)
+    _, eval_idx = corpus.split(spec.eval_frac)
+    for si in eval_idx:
+        profile, spk_texts = profiles[si], texts[si]
+        eps = harness.run_episodes(env, policy, np.repeat(profile.refs[None], n, 0),
+                                   profile.target_voiceprint, np.resize(spk_texts, (n, env.d_t)),
+                                   np.zeros((n, spec.step_budget, policy.action_dim)))
+        assert eps["final_fused"].shape == (n,)
+        for i in range(n):
+            ep = harness.run_episode(env, policy, profile, spk_texts[i % n_texts], mode="mode")
+            for key in ("initial_fused", "final_fused"):
+                assert abs(eps[key][i] - ep[key]) <= 1e-12, key
+            for kind in ("sim", "mos", "intell"):
+                assert abs(getattr(eps["final_scores"], kind)[i]
+                           - getattr(ep["final_scores"], kind)) <= 1e-12, kind
+            np.testing.assert_allclose(eps["rewards"][i], ep["rewards"], rtol=0, atol=1e-12)
+        assert np.ptp(eps["rewards"]) > 0  # the moves are real
+    if n == harness.EVAL_EPISODES:
+        _assert_rows_match_one_at_a_time_play(spec, corpus, policy)
 
 
 @pytest.mark.parametrize("case", ["fs-k3", "tradeoff"])
 def test_evaluate_rows_match_one_at_a_time_play_in_fs_and_tradeoff(tmp_path, case):
     if case == "fs-k3":
         corpus = gen_corpus(9, 10, 3, 4, 3, 3, tmp_path / "c.tsv")
-        spec = replace(_tiny_spec(tmp_path, corpus), eval_episodes=7)
+        spec = _tiny_spec(tmp_path, corpus)
     else:
         corpus = None
         spec = ExperimentSpec(config=RLConfig(d_e=4, d_t=3, k=1, hidden=8, seed=3,
                                               action_scale=0.1),
-                              env_kind="tradeoff", eval_episodes=7)
+                              env_kind="tradeoff")
     env, _, _ = build_env(spec, corpus)
     policy = PolicyNetwork(env.layout, spec.scenario, k=spec.config.k, hidden=8,
                            rng=substream(3, "policy-init"))
@@ -592,7 +613,7 @@ def test_evaluate_rl_rewards_telescope_in_one_call_per_speaker(tmp_path, monkeyp
     """evaluate plays each evaluated speaker's episodes in one run_episodes
     call, and every episode's rewards sum to its net fused gain."""
     corpus = gen_corpus(9, 10, 1, 4, 3, 3, tmp_path / "c.tsv")
-    spec = replace(_tiny_spec(tmp_path, corpus), eval_episodes=7)
+    spec = _tiny_spec(tmp_path, corpus)
     env, _, _ = build_env(spec, corpus)
     policy = PolicyNetwork(env.layout, "ss", k=1, hidden=8,
                            rng=substream(3, "policy-init"))
@@ -609,26 +630,13 @@ def test_evaluate_rl_rewards_telescope_in_one_call_per_speaker(tmp_path, monkeyp
     _, eval_idx = corpus.split(spec.eval_frac)
     assert len(played) == len(eval_idx)
     for eps in played:
-        assert eps["rewards"].shape == (spec.eval_episodes, spec.step_budget)
-        for i in range(spec.eval_episodes):
+        assert eps["rewards"].shape == (harness.EVAL_EPISODES, spec.step_budget)
+        for i in range(harness.EVAL_EPISODES):
             net = eps["final_fused"][i] - eps["initial_fused"][i]
             assert abs(math.fsum(eps["rewards"][i]) - net) <= 1e-9
     assert np.ptp(np.concatenate([eps["rewards"] for eps in played])) > 0
-    assert sum(r["variant"] == "rl" for r in rows) == len(eval_idx) * spec.eval_episodes
-
-
-@pytest.mark.parametrize("eval_episodes", [0, -1, 2.5, True, "3", None])
-def test_evaluate_rejects_eval_episodes_that_are_not_positive_integers(
-        tmp_path, corpus, eval_episodes):
-    spec = replace(_tiny_spec(tmp_path, corpus), eval_episodes=eval_episodes)
-    env, _, _ = build_env(spec, corpus)
-    policy = PolicyNetwork(env.layout, "ss", k=1, hidden=8)
-    with pytest.raises(ConfigError, match=re.escape(f"got {eval_episodes!r}")):
-        evaluate(policy, spec, corpus)
-    # the baselines play no episodes, so they do not read it
-    assert evaluate(None, spec, corpus, variants=("raw",)).variants() == ["raw"]
-    one = replace(spec, eval_episodes=np.int64(1))
-    assert len(evaluate(policy, one, corpus, variants=("rl",)).rows) == 2
+    assert (sum(r["variant"] == "rl" for r in rows)
+            == len(eval_idx) * harness.EVAL_EPISODES)
 
 
 def test_evaluate_rejects_variants_it_cannot_play(tmp_path, corpus):
@@ -665,7 +673,7 @@ def _held_out_case(tmp_path, env_kind):
     if env_kind == "voice":
         corpus = gen_corpus(5, 10, 1, 3, 2, 2, tmp_path / "c.tsv")
     spec = ExperimentSpec(config=cfg, env_kind=env_kind, eval_frac=0.3, run_id="h",
-                          out_dir=tmp_path, eval_episodes=1)
+                          out_dir=tmp_path)
     return spec, corpus, len(corpus.profiles) if corpus else harness.TRADEOFF_SPEAKERS
 
 
@@ -726,7 +734,7 @@ def test_evaluate_finetune_row_scores_the_proxy_embedding(tmp_path, corpus):
         f_t = texts[r["speaker"]][r["episode"]]
         triple = env.score_state(f_t, finetune_proxy(env, p, f_t)[0], p)
         assert r == harness._score_row(spec, r["episode"], p.speaker_id, "finetune",
-                                       triple, fuse_scores(triple, spec.weights))
+                                       triple, fuse_scores(triple, env.weights))
 
 
 def test_evaluate_baseline_rows_come_raw_finetune_oracle(tmp_path, monkeypatch):
@@ -807,7 +815,7 @@ def test_evaluate_checkpoint_plays_the_checkpoint_layout(tmp_path, flags):
     spec = replace(_tiny_spec(tmp_path, corpus), **flags)
     policy, _ = train(spec, corpus)
     result = evaluate_checkpoint(tmp_path / "t" / "checkpoint.json", tmp_path / "c.tsv")
-    want = evaluate(policy, replace(spec, eval_episodes=100), corpus)
+    want = evaluate(policy, spec, corpus)
     assert result.rows == [{**r, "run_id": "run"} for r in want.rows]
 
 
@@ -927,16 +935,50 @@ def test_ablate_score_terms_emits_four_variants(tmp_path):
     cfg = RLConfig(d_e=3, d_t=2, k=1, hidden=8, rollout_batch=8,
                    train_iters=1, action_scale=0.1, seed=0)
     spec = ExperimentSpec(config=cfg, scenario="ss", run_id="ab",
-                          out_dir=tmp_path, eval_episodes=2)
+                          out_dir=tmp_path)
     rows = harness.ablate(spec, "score_terms", None)
     names = {r["ablation"] for r in rows}
     assert names == {"sim+mos+intell", "sim+intell", "sim+mos", "sim_only"}
     assert (tmp_path / "ab" / "ablate_score_terms.csv").exists()
 
 
+def test_ablate_score_terms_trains_on_zeroed_lambdas_and_scores_under_the_spec(
+        tmp_path, monkeypatch):
+    """Each score_terms cell trains on spec.config with the lambdas that
+    SCORE_TERM_VARIANTS names set to 0, and every cell's rows are evaluated,
+    and fused, under spec.config itself."""
+    cfg = RLConfig(d_e=3, d_t=2, k=1, hidden=8, rollout_batch=8, train_iters=1,
+                   action_scale=0.1, seed=0, lambda1=0.7, lambda2=0.3)
+    spec = ExperimentSpec(config=cfg, scenario="ss", run_id="ab", out_dir=tmp_path)
+    trained, evaluated = {}, {}
+    real_train, real_evaluate = harness.train, harness.evaluate
+
+    def spy_train(point, corpus, **kw):
+        trained[point.run_id] = point
+        return real_train(point, corpus, **kw)
+
+    def spy_evaluate(policy, point, corpus, **kw):
+        evaluated[point.run_id] = point
+        return real_evaluate(policy, point, corpus, **kw)
+
+    monkeypatch.setattr(harness, "train", spy_train)
+    monkeypatch.setattr(harness, "evaluate", spy_evaluate)
+    rows = harness.ablate(spec, "score_terms", None)
+    zeroed = {"sim+mos+intell": (0.7, 0.3), "sim+intell": (0.0, 0.3),
+              "sim+mos": (0.7, 0.0), "sim_only": (0.0, 0.0)}
+    assert list(trained) == list(evaluated) == [f"ab-{n}" for n in zeroed]
+    for name, (l1, l2) in zeroed.items():
+        point = trained[f"ab-{name}"]
+        assert point.env_kind == "tradeoff"
+        assert point.config == replace(cfg, lambda1=l1, lambda2=l2)
+        assert evaluated[f"ab-{name}"] == replace(point, config=cfg)
+    assert {r["ablation"] for r in rows} == set(zeroed)
+    for r in rows:
+        assert r["fused"] == r["sim"] + 0.7 * (r["mos"] / 5.0) - 0.3 * r["intell"]
+
+
 def test_ablate_state_segments_covers_16_cells(tmp_path, corpus):
-    spec = replace(_tiny_spec(tmp_path, corpus),
-                   run_id="seg", eval_episodes=1)
+    spec = replace(_tiny_spec(tmp_path, corpus), run_id="seg")
     spec = replace(spec, config=spec.config.with_overrides(train_iters=1,
                                                            rollout_batch=8))
     rows = harness.ablate(spec, "state_segments", corpus)
@@ -1132,6 +1174,18 @@ def test_cli_exit_codes(tmp_path, capsys):
                       "--out", str(tmp_path / "runs")])
         assert exc.value.code == 2, line
         assert line.split("=")[0] in capsys.readouterr().err, line
+    # the corpus alone sets d_e, d_t and k: a config file that sets one is a
+    # config error (2) naming the line and the key, even at the corpus's value
+    for line in ("d_e=8", "d_t = 2", "k=3", "k=1"):
+        cfg_path.write_text(f"train_iters=1\n{line}\n")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--corpus", str(corpus_path), "--config", str(cfg_path),
+                      "--out", str(tmp_path / "runs")])
+        assert exc.value.code == 2, line
+        key = line.split("=")[0].strip()
+        assert (f"bad.cfg:2: {key} cannot be set here; the corpus sets it"
+                in capsys.readouterr().err), line
     assert not (tmp_path / "runs").exists()
     # overwriting without --force is an I/O error (4)
     with pytest.raises(SystemExit) as exc:
@@ -1185,10 +1239,21 @@ def test_cli_exit_codes(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["eval", "--checkpoint", str(ck), "--corpus", str(corpus_path)])
         assert exc.value.code == 4, ck.name
+    # so is a step that is not a JSON integer >= 0 or an rng that is not a string
+    ck = tmp_path / "ck.json"
+    save_checkpoint(PolicyNetwork(StateLayout(d_t=2, d_e=2), "ss", hidden=4), ck,
+                    config=RLConfig(d_e=2, d_t=2, hidden=4))
+    doc = json.loads(ck.read_text())
+    for key, bad in (("step", 2.7), ("step", "5"), ("step", True), ("step", -3),
+                     ("rng", []), ("rng", 0), ("rng", False)):
+        ck.write_text(json.dumps({**doc, key: bad}))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", "--checkpoint", str(ck), "--corpus", str(corpus_path)])
+        assert exc.value.code == 4, (key, bad)
+        assert f"corrupt checkpoint {key} {bad!r}" in capsys.readouterr().err
 
 
-# numpy warns on its way to the non-finite output that the CLI reports
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_training_blowups_exit_3_and_a_nan_checkpoint_exits_4(tmp_path, capsys):
     corpus_path = tmp_path / "c.tsv"
     _cli("gen-data", "--seed", "1", "--speakers", "3", "--refs", "1",
@@ -1196,14 +1261,24 @@ def test_cli_training_blowups_exit_3_and_a_nan_checkpoint_exits_4(tmp_path, caps
     cfg_path = tmp_path / "run.cfg"
     train_argv = ["train", "--corpus", str(corpus_path), "--config", str(cfg_path),
                   "--out", str(tmp_path / "runs")]
-    # a step size that sends the parameters to inf: FloatingPointError
+    # a step size that overflows the next PPO epoch: one FloatingPointError
+    # line, with no numpy warning before it, under Python's default filters
     cfg_path.write_text("train_iters=3\nrollout_batch=8\nhidden=4\nlearning_rate = 1e300\n")
+    src = str(Path(harness.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-W", "default", "-m", "asrrl.cli", *train_argv],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith("divergence abort: PPO update epoch 2 of 4 at "
+                                  "learning_rate=1e+300: overflow"), proc.stderr
+    assert not (tmp_path / "runs").exists()
+    # in process too, where the test run turns any RuntimeWarning into an error
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         cli.main(train_argv)
     assert exc.value.code == 3
-    assert "divergence abort: non-finite network output" in capsys.readouterr().err
-    assert not (tmp_path / "runs").exists()
+    assert capsys.readouterr().err == proc.stderr
     # a rejected PPO batch
     cfg_path.write_text("train_iters=1\nrollout_batch=8\nhidden=4\n")
 
@@ -1302,8 +1377,7 @@ def test_cli_config_lambdas_reach_the_reward(tmp_path):
     # library callers get the config lambdas too
     corpus = load_corpus(corpus_path)
     spec = ExperimentSpec(config=parse_config_file(cfg_path).with_overrides(
-        d_e=3, d_t=2, k=1), run_id="lib", out_dir=tmp_path / "runs",
-        eval_episodes=2)
+        d_e=3, d_t=2, k=1), run_id="lib", out_dir=tmp_path / "runs")
     policy, _ = train(spec, corpus)
     write_rows(tmp_path / "lib_eval.csv", evaluate(policy, spec, corpus).rows)
     for name in ("runs/r/train.csv", "eval.csv", "runs/lib/train.csv",
