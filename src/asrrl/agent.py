@@ -87,9 +87,6 @@ class PolicyNetwork:
         # per segment; forward grows it to the most rows seen
         self._work = np.empty((4 + len(self._segments), 0, H))
 
-    def parameter_count(self) -> int:
-        return self.flat.size
-
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Named views into a vector laid out like self.flat."""
         return {k: flat[sl].reshape(shape) for k, sl, shape in self._slices}
@@ -284,16 +281,11 @@ def ppo_loss_and_grads(policy: PolicyNetwork, batch: RolloutBatch, *,
                        clip_epsilon: float, value_coef: float, entropy_coef: float):
     """One forward/backward pass of the clipped PPO objective.
 
-    Returns (loss scalar, grads dict, report dict). The loss is the
+    Returns (loss scalar, gradient, report dict). The loss is the
     minimized quantity: -surrogate + value_coef * value MSE
-    - entropy_coef * entropy. The grads are views into a new flat vector.
+    - entropy_coef * entropy. The gradient is a new vector laid out like
+    policy.flat, the one Adam.step takes; policy.views(gradient) names it.
     """
-    loss, grads, report = _ppo_pass(policy, batch, clip_epsilon, value_coef, entropy_coef)
-    return loss, policy.views(grads), report
-
-
-def _ppo_pass(policy, batch, clip_epsilon, value_coef, entropy_coef):
-    """ppo_loss_and_grads with the gradient laid out like policy.flat."""
     if batch.advantages is None:
         raise ValueError("batch advantages not computed")
     if clip_epsilon <= 0:
@@ -354,8 +346,9 @@ def ppo_update(policy: PolicyNetwork, batch: RolloutBatch, config: RLConfig,
     for epoch in range(1, config.update_epochs + 1):
         try:
             with np.errstate(over="raise", invalid="raise"):
-                _, grads, report = _ppo_pass(policy, batch, config.clip_epsilon,
-                                             config.value_coef, config.entropy_coef)
+                _, grads, report = ppo_loss_and_grads(
+                    policy, batch, clip_epsilon=config.clip_epsilon,
+                    value_coef=config.value_coef, entropy_coef=config.entropy_coef)
                 optimizer.step(policy.flat, grads)
         except FloatingPointError as exc:
             raise FloatingPointError(

@@ -8,6 +8,7 @@ their inputs, and are safe to call from any number of threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
@@ -218,6 +219,13 @@ class RLConfig:
     seed: int = 0
 
     def validate(self) -> "RLConfig":
+        # each field's type: numpy's integers are ints, any real a float, a bool neither
+        kinds = {"int": numbers.Integral, "float": numbers.Real, "str": str}
+        bad = [f"{f.name}={getattr(self, f.name)!r} (need {f.type})" for f in fields(self)
+               if isinstance(getattr(self, f.name), bool)
+               or not isinstance(getattr(self, f.name), kinds[f.type])]
+        if bad:
+            raise ValueError(f"settings of the wrong type: {', '.join(bad)}")
         bad = [f"{f.name}={getattr(self, f.name)}" for f in fields(self)
                if f.type == "float" and not math.isfinite(getattr(self, f.name))]
         if bad:

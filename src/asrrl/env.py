@@ -428,8 +428,7 @@ class TradeoffEnv(_EnvBase):
         return sim, mos, intell
 
     def _triple(self, f_t, e, target) -> ScoreTriple:
-        sim, mos, intell = self._scores_from_proj(float(self.w @ np.asarray(e, dtype=np.float64)))
-        return ScoreTriple(sim=float(sim), mos=float(mos), intell=float(intell))
+        return ScoreTriple(*self._triple_batch(f_t, e, target))
 
     def _triple_batch(self, f_t, E, target):
         return self._scores_from_proj(np.asarray(E, dtype=np.float64) @ self.w)

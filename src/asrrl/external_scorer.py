@@ -7,7 +7,7 @@ direction; responses may arrive out of order and are matched by id.
 Request:  {"id": <u64>, "kind": "sim"|"mos"|"intell",
            "speech": [f64...], "target": [f64...]|null, "text_id": <u64>|null}
 Response: {"id": <u64>, "score": <f64>}  or  {"id": <u64>, "error": "<message>"}
-A JSON boolean is not a <u64> or <f64>: a boolean id or score is a ScorerFault.
+A boolean id or score, or an integer score too large for an f64, is a ScorerFault.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ class ExternalScorerClient:
             raise ScorerFault("scorer closed the connection")
         try:
             msg = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # bad UTF-8 or JSON, or an int of over 4,300 digits
             raise ScorerFault(f"malformed response line: {exc}") from exc
         if not isinstance(msg, dict) or type(msg.get("id")) is not int:  # bool is no id
             raise ScorerFault(f"response without integer id: {line!r}")
@@ -110,7 +110,10 @@ class ExternalScorerClient:
             raise ScorerFault(f"scorer error for id {msg['id']}: {msg['error']}")
         if type(msg.get("score")) not in (int, float):  # nor a score
             raise ScorerFault(f"response without numeric score: {line!r}")
-        self._pending[msg["id"]] = float(msg["score"])
+        try:
+            self._pending[msg["id"]] = float(msg["score"])
+        except OverflowError:  # an int past the f64 range; 1e999 parses as inf
+            raise ScorerFault(f"score too large for an f64: {line!r}") from None
 
     def wait(self, req_id: int) -> float:
         """Block until the response for req_id arrives; raw, unchecked score."""

@@ -314,16 +314,15 @@ def build_env(spec: ExperimentSpec, corpus: Corpus | None):
 
 # -- training --------------------------------------------------------------
 
-def _score_row(spec, episode, speaker, variant, triple, fused):
-    """One RUN_COLUMNS row of a train or evaluation run; triple is a
-    ScoreTriple or a (sim, mos, intell) tuple."""
+def _score_row(spec, episode, speaker, variant, sim, mos, intell, fused):
+    """One RUN_COLUMNS row of a train or evaluation run."""
     cfg = spec.config
     return {
         "run_id": spec.run_id, "scenario": spec.scenario, "gamma": cfg.gamma,
         "action_scale": cfg.action_scale, "steps": spec.step_budget,
         "seed": cfg.seed, "episode": episode, "speaker": speaker,
-        "variant": variant, "sim": float(triple[0]), "mos": float(triple[1]),
-        "intell": float(triple[2]), "fused": float(fused),
+        "variant": variant, "sim": float(sim), "mos": float(mos),
+        "intell": float(intell), "fused": float(fused),
     }
 
 
@@ -407,7 +406,7 @@ def train(spec: ExperimentSpec, corpus: Corpus | None = None, *,
     rows = []
     episode = 0
     diverged_streak = 0
-    for _ in range(cfg.train_iters):
+    for it in range(1, cfg.train_iters + 1):
         # three bulk draws, in this order: speakers, texts, sampling noise
         picks = [train_idx[i] for i in rng.integers(len(train_idx), size=n_episodes)]
         F = texts_arr[picks, rng.integers(n_texts, size=n_episodes)]
@@ -415,11 +414,11 @@ def train(spec: ExperimentSpec, corpus: Corpus | None = None, *,
         eps = run_episodes(env, policy, refs[picks], targets[picks], F, noise)
         init, final, scores = eps["initial_fused"], eps["final_fused"], eps["final_scores"]
         diverged = final < init - 0.5 * np.abs(init)
-        triples = zip(scores.sim.tolist(), scores.mos.tolist(), scores.intell.tolist())
-        for si, triple, sc, sc0, bad in zip(picks, triples, final.tolist(),
-                                            init.tolist(), diverged.tolist()):
+        for si, sim, mos, intell, sc, sc0, bad in zip(
+                picks, scores.sim.tolist(), scores.mos.tolist(), scores.intell.tolist(),
+                final.tolist(), init.tolist(), diverged.tolist()):
             rows.append(_score_row(spec, episode, profiles[si].speaker_id, "rl",
-                                   triple, sc))
+                                   sim, mos, intell, sc))
             episode += 1
             diverged_streak = diverged_streak + 1 if bad else 0
             if diverged_streak >= 100:
@@ -429,8 +428,13 @@ def train(spec: ExperimentSpec, corpus: Corpus | None = None, *,
                     f"(last: {sc:.4f} vs raw {sc0:.4f})"
                 )
         batch = RolloutBatch(*(
-            eps[k] for k in ("states", "raws", "log_probs", "rewards", "values")
-        )).compute_advantages(cfg.gamma, cfg.gae_lambda)
+            eps[k] for k in ("states", "raws", "log_probs", "rewards", "values")))
+        try:  # after an overflowing update, values near 1e300 overflow here first
+            with np.errstate(over="raise", invalid="raise"):
+                batch.compute_advantages(cfg.gamma, cfg.gae_lambda)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"advantages of iteration {it} of {cfg.train_iters} at "
+                                     f"learning_rate={cfg.learning_rate!r}: {exc}") from None
         ppo_update(policy, batch, cfg, opt)
     if write_outputs:
         spec.run_dir.mkdir(parents=True, exist_ok=True)
@@ -518,7 +522,7 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
                                profile.target_voiceprint, np.resize(spk_texts, (n, cfg.d_t)),
                                np.zeros((n, spec.step_budget, policy.action_dim)))
             s, fused = eps["final_scores"], eps["final_fused"]
-            rows += [_score_row(spec, ei, profile.speaker_id, "rl", t, t[3]) for ei, t
+            rows += [_score_row(spec, ei, profile.speaker_id, "rl", *t) for ei, t
                      in enumerate(np.column_stack([s.sim, s.mos, s.intell, fused]).tolist())]
         lim = float(np.max(np.abs(profile.refs))) + margin
         for ti, f_t in enumerate(spk_texts):
@@ -531,9 +535,9 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
                     e, _ = finetune_proxy(env, profile, f_t)
                 else:
                     e, _ = oracle_zoom(env, profile, f_t, -lim, lim)
-                triple = env.score_state(f_t, e, profile)
+                t = env.score_state(f_t, e, profile)
                 rows.append(_score_row(spec, ti, profile.speaker_id, variant,
-                                       triple, fuse_scores(triple, env.weights)))
+                                       t.sim, t.mos, t.intell, fuse_scores(t, env.weights)))
     return EvalResult(rows)
 
 
@@ -683,11 +687,6 @@ def write_rows(path, rows: list[dict], columns: list[str] | None = None) -> None
         writer = csv.writer(fh)
         writer.writerow(columns)
         writer.writerows([row.get(c, "") for c in columns] for row in rows)
-
-
-def read_rows(path) -> list[dict]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
 
 
 # -- flat config files -----------------------------------------------------

@@ -65,9 +65,6 @@ class ScoreTriple:
         _check_range("mos", self.mos)
         _check_range("intell", self.intell)
 
-    def __getitem__(self, i):
-        return (self.sim, self.mos, self.intell)[i]
-
 
 @dataclass(frozen=True)
 class RewardWeights:

@@ -27,7 +27,6 @@ from asrrl.harness import (
     evaluate,
     finetune_proxy,
     gen_corpus,
-    read_rows,
     run_episode,
     train,
     write_rows,
@@ -36,6 +35,7 @@ from asrrl.scoring import RewardWeights, ScoreTriple, ScorerFault, fuse_scores
 from asrrl.seeding import substream
 
 from test_agent import _batch, _policy
+from test_harness import _read_csv
 
 
 @pytest.fixture(scope="module")
@@ -141,11 +141,12 @@ def test_criterion_4_movement_certificate():
 def test_criterion_5_gradient_check():
     t0 = time.monotonic()
     policy = _policy("ss", encoder="segments", hidden=4)
-    n_params = policy.parameter_count()
+    n_params = policy.flat.size
     assert n_params <= 200
     batch = _batch(policy, n=24, seed=5)
     kw = dict(clip_epsilon=0.2, value_coef=0.5, entropy_coef=0.01)
-    _, grads, _ = ppo_loss_and_grads(policy, batch, **kw)
+    _, flat_grads, _ = ppo_loss_and_grads(policy, batch, **kw)
+    grads = policy.views(flat_grads)
     h = 1e-6
     worst = 0.0
     for name, arr in policy.params.items():
@@ -245,7 +246,7 @@ def test_criterion_8_finetune_proxy_parity(workdir):
     out = workdir / "rl_vs_finetune.csv"
     write_rows(out, rows, columns=["k", "speaker", "rl_fused",
                                    "finetune_fused"])
-    assert len(read_rows(out)) == len(rows) and len(rows) == 6
+    assert len(_read_csv(out)) == len(rows) and len(rows) == 6
     print(f"\nPASS criterion 8: 2000-step proxy within {worst:.1e} of the "
           f"grid oracle; comparison CSV covers k in {{2,3,5}}")
 
@@ -291,7 +292,7 @@ def test_criterion_10_sweep_axes(workdir):
                         "--config", str(cfg_path),
                         "--axis", axis, "--values", values])
         assert code == 0
-        rows = read_rows(workdir / "sweeps" / "sw" / f"sweep_{axis}.csv")
+        rows = _read_csv(workdir / "sweeps" / "sw" / f"sweep_{axis}.csv")
         got = {float(r["value"]) for r in rows}
         want = {float(v) for v in values.split(",")}
         assert got == want

@@ -282,15 +282,14 @@ def test_ppo_pass_reads_steps_episode_after_episode():
     loss, grads, report = ppo_loss_and_grads(policy, batch, **kw)
     want_loss, want_grads, want_report = ppo_loss_and_grads(policy, rows, **kw)
     assert loss == want_loss and report == want_report
-    for name, g in grads.items():
-        assert g.tobytes() == want_grads[name].tobytes(), name
+    assert grads.tobytes() == want_grads.tobytes()
 
 
 @pytest.mark.parametrize("scenario", ["ss", "fs"])
 @pytest.mark.parametrize("encoder", ["segments"])
 def test_gradients_match_finite_differences(scenario, encoder):
     policy = _policy(scenario, encoder=encoder)
-    assert policy.parameter_count() <= 200
+    assert policy.flat.size <= 200
     batch = _batch(policy)
 
     def loss():
@@ -298,8 +297,9 @@ def test_gradients_match_finite_differences(scenario, encoder):
                                        value_coef=0.5, entropy_coef=0.01)
         return val
 
-    _, grads, _ = ppo_loss_and_grads(policy, batch, clip_epsilon=0.2,
-                                     value_coef=0.5, entropy_coef=0.01)
+    _, flat_grads, _ = ppo_loss_and_grads(policy, batch, clip_epsilon=0.2,
+                                          value_coef=0.5, entropy_coef=0.01)
+    grads = policy.views(flat_grads)
     h = 1e-6
     worst = 0.0
     for name, arr in policy.params.items():
@@ -401,12 +401,34 @@ def test_ppo_grads_survive_later_calls():
     batch = _batch(policy)
     kw = dict(clip_epsilon=0.2, value_coef=0.5, entropy_coef=0.01)
     _, grads, _ = ppo_loss_and_grads(policy, batch, **kw)
-    kept = {k: v.copy() for k, v in grads.items()}
+    assert grads.shape == policy.flat.shape
+    kept = grads.copy()
     policy.flat += 1e-3 * np.random.default_rng(1).standard_normal(policy.flat.size)
     _, again, _ = ppo_loss_and_grads(policy, batch, **kw)
-    assert not np.array_equal(again["mean.W"], kept["mean.W"])
-    for k, v in kept.items():
-        np.testing.assert_array_equal(grads[k], v)
+    assert not np.array_equal(policy.views(again)["mean.W"], policy.views(kept)["mean.W"])
+    np.testing.assert_array_equal(grads, kept)
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_ppo_update_steps_adam_on_the_objectives_gradient_bitwise(epochs):
+    # each epoch is Adam.step on a copy, fed ppo_loss_and_grads' flat gradient,
+    # then the log_std clamp
+    policy = _policy("ss", hidden=8)
+    batch = _batch(policy, n=63)
+    cfg = RLConfig(update_epochs=epochs)
+    ref = _policy("ss", hidden=8)
+    ref_opt = Adam(ref.flat, 1e-2)
+    report = ppo_update(policy, batch, cfg, Adam(policy.flat, 1e-2))
+    for _ in range(epochs):
+        _, g, want_report = ppo_loss_and_grads(
+            ref, batch, clip_epsilon=cfg.clip_epsilon, value_coef=cfg.value_coef,
+            entropy_coef=cfg.entropy_coef)
+        ref_opt.step(ref.flat, g)
+        np.clip(ref.params["log_std"], agent.LOG_STD_MIN, agent.LOG_STD_MAX,
+                out=ref.params["log_std"])
+    assert report == want_report
+    assert policy.flat.tobytes() == ref.flat.tobytes()
+    assert not np.array_equal(policy.flat, _policy("ss", hidden=8).flat)
 
 
 @pytest.mark.parametrize("encoder", ["segments"])
@@ -606,6 +628,12 @@ def _rng_edit(state):
                          ("step", -3, "step-negative"), ("step", None, "step-null"),
                          ("rng", [], "rng-list"), ("rng", 0, "rng-zero"),
                          ("rng", False, "rng-false"), ("rng", None, "rng-null")]],
+    # an int setting is a JSON integer, a float one any JSON number, never a bool
+    *[pytest.param(lambda doc, k=k, v=v: {**doc, "config": {**doc["config"], k: v}},
+                   re.escape(f"{k}={v!r}"), id=f"config-{k}-{v!r}")
+      for k, v in [("steps_ss", 3.0), ("seed", 1.5), ("train_iters", 2.5),
+                   ("hidden", 8.0), ("update_epochs", True), ("k", True),
+                   ("rollout_batch", 7.9), ("gamma", True), ("encoder", 3)]],
     pytest.param(lambda doc: {**doc, "rng": "zz"}, "rng", id="bad-rng-hex"),
     pytest.param(lambda doc: {**doc, "rng": json.dumps(
         {"bit_generator": "Nope"}).encode().hex()}, "rng", id="unknown-bit-generator"),
@@ -660,7 +688,9 @@ _json_values = st.recursive(
 _fuzz_sites = ([("params", n, *key) for n in ("trunk.W", "value.b", "log_std")
                 for key in ((), ("shape",), ("data",), ("data", 0))]
                + [("step",), ("rng",), ("rng", "state", "state"), ("rng", "state", "inc"),
-                  ("rng", "has_uint32"), ("rng", "uinteger")])
+                  ("rng", "has_uint32"), ("rng", "uinteger")]
+               + [("config", k) for k in ("steps_ss", "seed", "train_iters",
+                                          "update_epochs", "gamma")])
 
 
 @settings(max_examples=200, deadline=None)
@@ -672,10 +702,17 @@ _fuzz_sites = ([("params", n, *key) for n in ("trunk.W", "value.b", "log_std")
 @example(site=("rng",), value=[])
 @example(site=("rng",), value=0)
 @example(site=("rng",), value=False)
+@example(site=("config", "steps_ss"), value=3.0)
+@example(site=("config", "seed"), value=1.5)
+@example(site=("config", "train_iters"), value=2.5)
+@example(site=("config", "hidden"), value=8.0)
+@example(site=("config", "update_epochs"), value=True)
+@example(site=("config", "k"), value=True)
+@example(site=("config", "rollout_batch"), value=7.9)
 def test_checkpoint_fuzzed_field_loads_or_is_a_checkpoint_error(tmp_path_factory, site, value):
-    """Each load returns a policy with finite parameters, a step that is a
-    JSON integer >= 0 and an rng that is None only for an rng of "", or
-    raises CheckpointError."""
+    """Each load returns a policy with finite parameters, a config whose int
+    settings are ints, a step that is a JSON integer >= 0 and an rng that is
+    None only for an rng of "", or raises CheckpointError."""
     path = tmp_path_factory.getbasetemp() / "fuzzed.json"
     save_checkpoint(_policy("ss"), path, config=RLConfig(d_e=2, d_t=2, hidden=4, k=2),
                     rng=np.random.default_rng(0))
@@ -689,9 +726,11 @@ def test_checkpoint_fuzzed_field_loads_or_is_a_checkpoint_error(tmp_path_factory
         doc["rng"] = json.dumps(root).encode().hex()
     path.write_text(json.dumps(doc))
     try:
-        policy, _, step, rng = load_checkpoint(path)
+        policy, config, step, rng = load_checkpoint(path)
     except CheckpointError:
         return
     assert np.isfinite(policy.flat).all()
+    assert all(type(getattr(config, f.name)) is int for f in fields(config)
+               if f.type == "int")
     assert type(step) is int and step >= 0
     assert (rng is None) == (site == ("rng",) and value == "")

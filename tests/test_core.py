@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -233,6 +234,29 @@ def test_config_float_settings_are_the_float_fields():
                               "gae_lambda", "clip_epsilon", "learning_rate",
                               "entropy_coef", "value_coef"]
     RLConfig(train_iters=0).validate()
+
+
+INT_SETTINGS = [f.name for f in dataclasses.fields(RLConfig) if f.type == "int"]
+
+
+def test_config_settings_of_the_wrong_type_are_refused():
+    """An int setting takes an integer, numpy's too, and a float setting any
+    real number; a bool is neither, and encoder is a string."""
+    assert INT_SETTINGS == ["d_e", "d_t", "k", "steps_ss", "steps_fs", "update_epochs",
+                            "rollout_batch", "hidden", "train_iters", "seed"]
+    for name in INT_SETTINGS:
+        for bad in (2.0, 2.5, True, "2", None):
+            with pytest.raises(ValueError, match=re.escape(f"{name}={bad!r} (need int)")):
+                RLConfig(**{name: bad}).validate()
+        RLConfig(**{name: np.int64(2)}).validate()
+    for name in FLOAT_SETTINGS:
+        for bad in (True, False, "0.1", None):
+            with pytest.raises(ValueError, match=re.escape(f"{name}={bad!r} (need float)")):
+                RLConfig(**{name: bad}).validate()
+        RLConfig(**{name: 1}).validate()
+        RLConfig(**{name: np.float64(0.1)}).validate()
+    with pytest.raises(ValueError, match=re.escape("encoder=3 (need str)")):
+        RLConfig(encoder=3).validate()
 
 
 @pytest.mark.parametrize("lambdas", [(math.nan, 0.1), (0.5, math.inf), (-1.0, 0.1)])

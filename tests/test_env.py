@@ -20,7 +20,7 @@ from asrrl.env import (
     oracle_zoom,
 )
 from asrrl.harness import finetune_proxy
-from asrrl.scoring import (RewardWeights, ScoreContext, ScoreRangeError,
+from asrrl.scoring import (RewardWeights, ScoreContext, ScoreRangeError, ScoreTriple,
                            cosine_similarity_score, fuse_scores)
 from asrrl.seeding import substream
 
@@ -236,7 +236,8 @@ def test_score_state_is_the_two_exp_shell_bitwise():
             want = (cosine_similarity_score(env.voiceprint(f_t, e), p.target_voiceprint),
                     5.0 * np.exp(-env.SHELL_RATE * excess),
                     1.0 - np.exp(-env.SHELL_RATE * excess))
-            assert [float(x).hex() for x in t] == [float(x).hex() for x in want]
+            assert ([float(x).hex() for x in (t.sim, t.mos, t.intell)]
+                    == [float(x).hex() for x in want])
 
 
 def test_score_rows_zero_norm_targets_score_one_half_without_warnings():
@@ -618,3 +619,25 @@ def test_tradeoff_direction_is_monotone():
     assert hi.sim > lo.sim
     assert hi.mos < lo.mos
     assert hi.intell > lo.intell
+
+
+def test_tradeoff_score_state_is_the_projection_formula_bitwise():
+    """The scalar kernel is the row kernel on one embedding: e @ w is the
+    dot float(w @ e), and the same scalar operations follow it."""
+    rng = np.random.default_rng(8)
+    for d in (1, 3, 8, 16):
+        w = rng.standard_normal(d)
+        env = TradeoffEnv(w / np.linalg.norm(w), 0.2, d_t=2)
+        p = env.make_profile(0, substream(0, "s"), k=1)
+        E = rng.standard_normal((400, d)) * rng.choice([0.05, 0.3, 2.0], size=(400, 1))
+        past_tau = 0
+        for e in E:
+            z = float(env.w @ e)
+            past_tau += z > env.tau
+            want = [float(v) for v in env._scores_from_proj(z)]
+            t = env.score_state(np.zeros(2), e, p)
+            got = [t.sim, t.mos, t.intell]
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (d, e)
+            want_fused = fuse_scores(ScoreTriple(*want), env.weights)  # of Python floats
+            assert float(env.fused(np.zeros(2), e, p)).hex() == want_fused.hex(), (d, e)
+        assert 50 <= past_tau <= 350, past_tau

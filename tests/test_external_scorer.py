@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import socket
 import subprocess
 import sys
@@ -144,6 +145,26 @@ def test_boolean_id_is_a_fault_not_request_one():
         client.wait(req)
     for s in socks:
         s.close()
+
+
+@pytest.mark.parametrize("digits, match", [
+    (401, re.escape("""score too large for an f64: b'{"id": 0, "score": 1000""")),
+    (5000, "malformed response line: Exceeds the limit")])
+def test_integer_score_too_large_for_an_f64_is_a_fault(digits, match):
+    """The protocol's score is an <f64>: an integer past its range is a
+    fault naming the line, as is one too long for Python to parse."""
+    reply = b'{"id": 0, "score": 1' + b"0" * (digits - 1) + b"}\n"
+    client = ExternalScorerClient(io.BytesIO(reply), io.BytesIO())
+    with pytest.raises(ScorerFault, match=match):
+        client.score(np.array([0.5]), ScoreContext())
+
+
+@pytest.mark.parametrize("score", [b"1e999", b"-1e999", b"NaN", b"Infinity"])
+def test_non_finite_score_is_a_range_error(score):
+    client = ExternalScorerClient(io.BytesIO(b'{"id": 0, "score": ' + score + b"}\n"),
+                                  io.BytesIO())
+    with pytest.raises(ScoreRangeError):
+        client.score(np.array([0.5]), ScoreContext())
 
 
 def test_closed_connection_is_a_fault():

@@ -33,13 +33,17 @@ from asrrl.harness import (
     gen_corpus,
     load_corpus,
     parse_config_file,
-    read_rows,
     sweep,
     train,
     write_rows,
 )
 from asrrl.scoring import ScoreRangeError, cosine_similarity_score, fuse_scores
 from asrrl.seeding import substream
+
+def _read_csv(path) -> list[dict]:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
 
 def _tiny_spec(tmp_path, corpus, **over):
     kw = dict(hidden=8, rollout_batch=16, train_iters=2,
@@ -545,8 +549,9 @@ def _assert_rows_match_one_at_a_time_play(spec, corpus, policy):
         for ei in range(harness.EVAL_EPISODES):
             ep = harness.run_episode(env, policy, profiles[si],
                                      texts[si][ei % len(texts[si])], mode="mode")
-            want.append(harness._score_row(spec, ei, profiles[si].speaker_id,
-                                           "rl", ep["final_scores"], ep["final_fused"]))
+            t = ep["final_scores"]
+            want.append(harness._score_row(spec, ei, profiles[si].speaker_id, "rl",
+                                           t.sim, t.mos, t.intell, ep["final_fused"]))
     rows = evaluate(policy, spec, corpus, variants=("rl",)).rows
     scores = ("sim", "mos", "intell", "fused")
     assert len(rows) == len(want)
@@ -732,9 +737,9 @@ def test_evaluate_finetune_row_scores_the_proxy_embedding(tmp_path, corpus):
     for r in rows:
         p = profiles[r["speaker"]]
         f_t = texts[r["speaker"]][r["episode"]]
-        triple = env.score_state(f_t, finetune_proxy(env, p, f_t)[0], p)
+        t = env.score_state(f_t, finetune_proxy(env, p, f_t)[0], p)
         assert r == harness._score_row(spec, r["episode"], p.speaker_id, "finetune",
-                                       triple, fuse_scores(triple, env.weights))
+                                       t.sim, t.mos, t.intell, fuse_scores(t, env.weights))
 
 
 def test_evaluate_baseline_rows_come_raw_finetune_oracle(tmp_path, monkeypatch):
@@ -924,7 +929,7 @@ def test_sweep_emits_complete_csvs(tmp_path, corpus):
     spec = _tiny_spec(tmp_path, corpus)
     long_rows, summary = sweep(spec, "gamma", [0.0, 0.9], corpus)
     assert {r["value"] for r in long_rows} == {0.0, 0.9}
-    got = read_rows(tmp_path / "t" / "sweep_gamma.csv")
+    got = _read_csv(tmp_path / "t" / "sweep_gamma.csv")
     assert len(got) == len(long_rows)
     assert list(got[0]) == ["axis", "value"] + harness.RUN_COLUMNS
     assert (tmp_path / "t" / "sweep_gamma_summary.csv").exists()
@@ -996,7 +1001,7 @@ def test_write_read_rows_roundtrip_with_quoting(tmp_path):
     rows = [{"a": "x,y", "b": 'say "hi"'}, {"a": "", "b": "plain"}]
     path = tmp_path / "r.csv"
     write_rows(path, rows, columns=["a", "b"])
-    assert read_rows(path) == rows
+    assert _read_csv(path) == rows
 
 
 @pytest.mark.parametrize("case", ["run_columns", "extra_keys", "missing_key",
@@ -1004,7 +1009,7 @@ def test_write_read_rows_roundtrip_with_quoting(tmp_path):
 def test_write_rows_bytes_equal_dictwriter(tmp_path, case):
     spec = ExperimentSpec(run_id='run "q", x')
     rows = [harness._score_row(spec, i, 3, "rl",
-                               (0.1 * i, 4.5, 1e-17), -0.0 if i else 1 / 3)
+                               0.1 * i, 4.5, 1e-17, -0.0 if i else 1 / 3)
             for i in range(4)]
     columns = harness.RUN_COLUMNS
     if case == "extra_keys":
@@ -1132,7 +1137,7 @@ def test_cli_fs_pipeline_takes_scenario_from_corpus(tmp_path, capsys):
     assert load_checkpoint(ck)[0].scenario == "fs"
     assert _cli("eval", "--checkpoint", str(ck), "--corpus",
                 str(corpus_path), "--out", str(tmp_path / "eval.csv")) == 0
-    rows = read_rows(tmp_path / "eval.csv")
+    rows = _read_csv(tmp_path / "eval.csv")
     assert rows and {(r["scenario"], r["steps"]) for r in rows} == {("fs", "1")}
     assert _cli("baseline", "--method", "raw", "--corpus", str(corpus_path),
                 "--config", str(cfg_path)) == 0
@@ -1252,6 +1257,18 @@ def test_cli_exit_codes(tmp_path, capsys):
             cli.main(["eval", "--checkpoint", str(ck), "--corpus", str(corpus_path)])
         assert exc.value.code == 4, (key, bad)
         assert f"corrupt checkpoint {key} {bad!r}" in capsys.readouterr().err
+    # and a config field of the wrong type, which eval would otherwise trip over
+    # (this layout matches the corpus, so the intact checkpoint evaluates)
+    save_checkpoint(PolicyNetwork(StateLayout(d_t=2, d_e=2, d_v=8), "ss", hidden=4), ck,
+                    config=RLConfig(d_e=2, d_t=2, hidden=4))
+    assert _cli("eval", "--checkpoint", str(ck), "--corpus", str(corpus_path)) == 0
+    doc = json.loads(ck.read_text())
+    ck.write_text(json.dumps({**doc, "config": {**doc["config"], "steps_ss": 3.0}}))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "--checkpoint", str(ck), "--corpus", str(corpus_path)])
+    assert exc.value.code == 4
+    assert "steps_ss=3.0 (need int)" in capsys.readouterr().err
 
 
 def test_cli_training_blowups_exit_3_and_a_nan_checkpoint_exits_4(tmp_path, capsys):
@@ -1279,6 +1296,23 @@ def test_cli_training_blowups_exit_3_and_a_nan_checkpoint_exits_4(tmp_path, caps
         cli.main(train_argv)
     assert exc.value.code == 3
     assert capsys.readouterr().err == proc.stderr
+    # with one epoch the overflow first shows in the next iteration's
+    # advantages, which run under the same errstate: one line again
+    c6 = tmp_path / "c6.tsv"
+    _cli("gen-data", "--seed", "1", "--speakers", "6", "--refs", "1",
+         "--dim-e", "4", "--dim-t", "3", "--texts", "2", "--out", str(c6))
+    cfg_path.write_text("learning_rate = 1e300\nupdate_epochs = 1\ntrain_iters = 5\n"
+                        "rollout_batch = 12\nhidden = 8\n")
+    proc = subprocess.run([sys.executable, "-W", "default", "-m", "asrrl.cli", "train",
+                           "--corpus", str(c6), "--config", str(cfg_path),
+                           "--out", str(tmp_path / "runs")],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith("divergence abort: advantages of iteration 2 of 5 at "
+                                  "learning_rate=1e+300: overflow"), proc.stderr
+    assert not (tmp_path / "runs").exists()
     # a rejected PPO batch
     cfg_path.write_text("train_iters=1\nrollout_batch=8\nhidden=4\n")
 
@@ -1382,7 +1416,7 @@ def test_cli_config_lambdas_reach_the_reward(tmp_path):
     write_rows(tmp_path / "lib_eval.csv", evaluate(policy, spec, corpus).rows)
     for name in ("runs/r/train.csv", "eval.csv", "runs/lib/train.csv",
                  "lib_eval.csv"):
-        rows = read_rows(tmp_path / name)
+        rows = _read_csv(tmp_path / name)
         assert rows and any(float(r["mos"]) > 0 for r in rows)
         for r in rows:
             assert float(r["fused"]) == float(r["sim"]) - 0.2 * float(r["intell"])
