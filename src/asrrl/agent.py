@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -385,7 +385,9 @@ def save_checkpoint(policy: PolicyNetwork, path, *, config: RLConfig,
                     step: int = 0, rng: np.random.Generator | None = None) -> None:
     """Write a single JSON checkpoint with exact float64 round-trip; a
     failed write leaves the previous file at path untouched."""
-    cfg = asdict(config)
+    # each field as its declared type: json refuses numpy integers and float32
+    plain = {"int": int, "float": float, "str": str}
+    cfg = {f.name: plain[f.type](getattr(config, f.name)) for f in fields(config)}
     cfg["scenario"] = policy.scenario
     cfg["layout"] = asdict(policy.layout)
     doc = {

@@ -17,7 +17,10 @@ All matrices are drawn once from the seed and never mutated, so a fixed
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -452,10 +455,13 @@ def oracle_best(env: _EnvBase, profile: SpeakerProfile, f_t: np.ndarray,
     grid_spec is (lo, hi, points) applied to every embedding dimension,
     or one such triple per dimension. Ties resolve to the
     lexicographically smallest embedding (first in enumeration order),
-    whatever the block size. Each dimension needs finite lo <= hi and an
-    integral points >= 1; ValueError names the first that has not, and
-    a grid of more than MAX_GRID_POINTS points raises ValueError before
-    anything is allocated.
+    whatever the block size. The blocks are scored on every CPU the
+    process may run on (the calling thread and helper threads), in the
+    same bytes as on one; plug-in scorers score on the calling thread
+    alone. Each dimension needs finite lo <= hi and an integral
+    points >= 1; ValueError names the first that has not, and a grid of
+    more than MAX_GRID_POINTS points raises ValueError before anything
+    is allocated.
     """
     d_e = profile.true_embedding.shape[0]
     if isinstance(grid_spec, tuple):
@@ -484,15 +490,20 @@ def oracle_best(env: _EnvBase, profile: SpeakerProfile, f_t: np.ndarray,
     slab = math.prod(shape[j:])
     n_slabs = total // slab
     per_block = min(ORACLE_BLOCK_ROWS // slab, n_slabs)
-    block = np.empty((per_block * slab, d_e))
-    grid = block.reshape(per_block, *shape[j:], d_e)
-    for k in range(j, d_e):
-        grid[..., k] = axes[k].reshape(-1, *[1] * (d_e - 1 - k))
-    slabs = block.reshape(per_block, slab, d_e)
-    best_e = None
-    best_sc = -np.inf
-    for start in range(0, n_slabs, per_block):
+    n_blocks = -(-n_slabs // per_block)
+
+    def new_block():
+        block = np.empty((per_block * slab, d_e))
+        grid = block.reshape(per_block, *shape[j:], d_e)
+        for k in range(j, d_e):
+            grid[..., k] = axes[k].reshape(-1, *[1] * (d_e - 1 - k))
+        return block
+
+    def score(block, b):
+        """Best score of block b and a copy of its row (ties: the first)."""
+        start = b * per_block
         count = min(per_block, n_slabs - start)
+        slabs = block.reshape(per_block, slab, d_e)
         # row-major flat indices of the slabs enumerate the grid lexicographically
         lead = np.unravel_index(np.arange(start, start + count), shape[:j])
         for k, idx in enumerate(lead):
@@ -500,10 +511,63 @@ def oracle_best(env: _EnvBase, profile: SpeakerProfile, f_t: np.ndarray,
         rows = block[:count * slab]
         sc = env.fused_batch(f_t, rows, profile)
         i = int(np.argmax(sc))
-        if sc[i] > best_sc:  # a later block must score strictly higher to win
-            best_sc = float(sc[i])
-            best_e = rows[i].copy()  # the block is rewritten for the next one
+        return sc[i], rows[i].copy()  # the block is rewritten for the next one
+
+    # plug-in scorers need not be thread-safe, so they score on this thread
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = 1 if env.scorers else min(cpus, n_blocks)
+    best_e = None
+    best_sc = -np.inf
+    for sc, row in _score_blocks(new_block, score, n_blocks, workers):  # in grid order
+        if sc > best_sc:  # a later block must score strictly higher to win
+            best_sc, best_e = float(sc), row
     return best_e, best_sc
+
+
+def _score_blocks(new_block, score, n_blocks, workers):
+    """[score(block, b) for b in range(n_blocks)], by the calling thread
+    and workers - 1 helper threads (none for one worker), each with its
+    own block buffer, taking the next block from one counter; numpy
+    releases the GIL in the array work. An error stops every worker at
+    its next block, and the earliest failing block's error is raised:
+    every block before it was dealt first and has run, so it is the one
+    a serial loop raises."""
+    found = [None] * n_blocks
+    errors = []
+    lock = threading.Lock()
+    next_block, stop = 0, False
+
+    def search():
+        nonlocal next_block, stop
+        b = -1
+        try:
+            block = new_block()
+            while True:
+                with lock:
+                    if stop or next_block == n_blocks:
+                        return
+                    b, next_block = next_block, next_block + 1
+                found[b] = score(block, b)
+        except Exception as exc:
+            errors.append((b, exc))
+            stop = True
+
+    # a new thread starts with numpy's default errstate; each helper runs
+    # in a copy of the caller's context, which holds the caller's errstate
+    helpers = []
+    try:
+        for _ in range(workers - 1):
+            t = threading.Thread(target=contextvars.copy_context().run, args=(search,))
+            t.start()
+            helpers.append(t)
+        search()
+    finally:  # also on KeyboardInterrupt: no helper outlives the call
+        stop = True
+        for t in helpers:
+            t.join()
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    return found
 
 
 def oracle_zoom(env, profile: SpeakerProfile, f_t: np.ndarray,
@@ -513,9 +577,10 @@ def oracle_zoom(env, profile: SpeakerProfile, f_t: np.ndarray,
     Runs oracle_best on [lo, hi]^d_e, then re-grids a one-cell window
     around the argmax, for four rounds. Width shrinks by (points-1)/2 per
     round, so four 41-point rounds resolve ~8000x finer than the first
-    grid while scoring only 4 * points**d_e candidates. The score never
-    decreases across rounds because each window contains the previous
-    argmax.
+    grid while scoring only 4 * points**d_e candidates. Returns the best
+    round's argmax and score (ties: the earliest round): with an even
+    points, a window's grid misses the previous argmax, and a later round
+    can score lower.
     """
     d_e = profile.true_embedding.shape[0]
     los = np.full(d_e, float(lo))
@@ -523,7 +588,9 @@ def oracle_zoom(env, profile: SpeakerProfile, f_t: np.ndarray,
     best_e, best_sc = None, -np.inf
     for _ in range(4):
         specs = [(los[i], his[i], points) for i in range(d_e)]
-        best_e, best_sc = oracle_best(env, profile, f_t, specs)
+        e, sc = oracle_best(env, profile, f_t, specs)
+        if sc > best_sc:
+            best_e, best_sc = e, sc
         h = (his - los) / max(points - 1, 1)
-        los, his = best_e - h, best_e + h
+        los, his = e - h, e + h
     return best_e, best_sc

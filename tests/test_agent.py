@@ -516,6 +516,25 @@ def test_checkpoint_bytes_equal_json_dump_encoding(tmp_path):
     assert path.read_bytes() == buf.getvalue().encode("utf-8")
 
 
+def test_numpy_config_values_save_as_their_declared_types(tmp_path):
+    # RLConfig accepts numpy numbers, which json.dumps refuses (np.int64,
+    # np.float32); train wrote train.csv and then died with no checkpoint
+    corpus = gen_corpus(5, 6, 1, 2, 2, 2, tmp_path / "c.tsv")
+    for run_id, seed in (("py", 1), ("np", np.int64(1))):
+        cfg = RLConfig(d_e=2, d_t=2, k=1, seed=seed, train_iters=2, rollout_batch=12,
+                       hidden=4)
+        train(ExperimentSpec(config=cfg, out_dir=tmp_path, run_id=run_id), corpus)
+    assert (tmp_path / "np" / "checkpoint.json").read_bytes() == \
+        (tmp_path / "py" / "checkpoint.json").read_bytes()
+    path = tmp_path / "lr.json"
+    save_checkpoint(_policy("ss"), path,
+                    config=RLConfig(d_e=2, d_t=2, hidden=4, k=2,
+                                    learning_rate=np.float32(3e-4)))
+    cfg = load_checkpoint(path)[1]
+    assert type(cfg.learning_rate) is float
+    assert cfg.learning_rate == float(np.float32(3e-4)) != 3e-4
+
+
 def test_checkpoint_truncated_file_reports_offset(tmp_path):
     policy = _policy("ss")
     path = tmp_path / "ck.json"

@@ -1,6 +1,10 @@
 """Synthetic environments, the episode contract, and the grid oracle."""
 
 import math
+import os
+import sys
+import threading
+import time
 import warnings
 from types import SimpleNamespace
 
@@ -545,11 +549,20 @@ def _meshgrid_argmax(env, p, f_t, specs):
     return points[i], sc[i]
 
 
+def _cpus(monkeypatch, n):
+    """Make oracle_best see n CPUs available to the process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+WORKERS = (1, 2, 3, 8)
+
+
 def test_oracle_chunks_match_one_meshgrid_argmax_and_ties_go_first(monkeypatch):
     # each block cap splits these grids in another way: slabs of two axes,
     # of the last axis alone, the whole grid in one block, or a last axis
     # longer than a block (rows enumerated one by one); every grid that takes
-    # more than one block ends in a ragged one
+    # more than one block ends in a ragged one. Each count of CPUs deals the
+    # blocks to as many threads, up to one per block
     caps = (7, 64, 200, 1000)
     for d_e, points in ((1, (303,)), (2, (37, 23)), (3, (11, 6, 13))):
         env = SyntheticVoiceEnv(d_e=d_e, d_t=2, seed=17)
@@ -559,8 +572,11 @@ def test_oracle_chunks_match_one_meshgrid_argmax_and_ties_go_first(monkeypatch):
         want_e, want_sc = _meshgrid_argmax(env, p, env.f_t_cal, specs)
         for cap in caps:
             monkeypatch.setattr(envmod, "ORACLE_BLOCK_ROWS", cap)
-            e_best, sc = oracle_best(env, p, env.f_t_cal, specs)
-            assert e_best.tobytes() == want_e.tobytes() and sc == want_sc, (d_e, cap)
+            for workers in WORKERS:
+                _cpus(monkeypatch, workers)
+                e_best, sc = oracle_best(env, p, env.f_t_cal, specs)
+                assert e_best.tobytes() == want_e.tobytes() and sc == want_sc, \
+                    (d_e, cap, workers)
     # the tradeoff score ignores axis 1, so every row of one axis-0 value
     # ties: the first (axis 1 at its low end) wins when the tied rows sit in
     # one block (an 11-point slab, from cap 64) and when they straddle blocks
@@ -572,8 +588,206 @@ def test_oracle_chunks_match_one_meshgrid_argmax_and_ties_go_first(monkeypatch):
         assert want_e[1] == -0.5
         for cap in caps:
             monkeypatch.setattr(envmod, "ORACLE_BLOCK_ROWS", cap)
+            for workers in WORKERS:
+                _cpus(monkeypatch, workers)
+                e_best, sc = oracle_best(tenv, tp, np.zeros(2), specs)
+                assert e_best.tobytes() == want_e.tobytes() and sc == want_sc, \
+                    (cap, workers)
+
+
+def _block_of(rows):
+    """The block that holds rows, on a 40 x 25 grid over [-1, 1]^2 in blocks
+    of four 25-row slabs (ORACLE_BLOCK_ROWS = 100)."""
+    return int(round((rows[0, 0] + 1.0) * 39 / 2)) // 4
+
+
+def test_oracle_nan_ties_and_all_minus_inf_fold_as_the_serial_loop(monkeypatch):
+    # a block whose argmax is NaN never wins, even with finite rows above
+    # the best; a grid that ties everywhere returns its first row, even when
+    # block 0 finishes last; a grid scored -inf everywhere has no best row
+    env = SyntheticVoiceEnv(d_e=2, d_t=2, seed=17)
+    p = env.make_profile(0, substream(17, "corpus"), k=1)
+    specs = [(-1.0, 1.0, 40), (-1.0, 1.0, 25)]
+    monkeypatch.setattr(envmod, "ORACLE_BLOCK_ROWS", 100)
+    fused = env.fused_batch
+
+    unpatched = oracle_best(env, p, env.f_t_cal, specs)
+    nan_blocks = {2, 7, _block_of(unpatched[0][None])}  # the winner's too
+
+    def nan_in_blocks(f_t, rows, profile):
+        sc = fused(f_t, rows, profile)
+        if _block_of(rows) in nan_blocks:
+            sc[5::9] = np.nan
+        return sc
+
+    def tie_with_block_0_last(f_t, rows, profile):
+        if _block_of(rows) == 0:
+            time.sleep(0.02)
+        return np.ones(len(rows))
+
+    for score, want in ((nan_in_blocks, None), (tie_with_block_0_last, [-1.0, -1.0]),
+                        (lambda f_t, rows, profile: np.full(len(rows), -np.inf), "none")):
+        monkeypatch.setattr(env, "fused_batch", score)
+        got = set()
+        for workers in WORKERS:
+            _cpus(monkeypatch, workers)
+            e_best, sc = oracle_best(env, p, env.f_t_cal, specs)
+            got.add((None if e_best is None else e_best.tobytes(), sc))
+        assert len(got) == 1, score
+        e_best, sc = got.pop()
+        if want is None:
+            assert -np.inf < sc < unpatched[1]
+        elif want == "none":
+            assert e_best is None and sc == -np.inf
+        else:
+            assert e_best == np.array(want).tobytes() and sc == 1.0
+
+
+def test_oracle_raises_the_earliest_failing_blocks_error(monkeypatch):
+    # block 5 fails after block 9 has failed on another thread; the serial
+    # loop raises block 5's error, and so does every count of workers
+    env = SyntheticVoiceEnv(d_e=2, d_t=2, seed=17)
+    p = env.make_profile(0, substream(17, "corpus"), k=1)
+    specs = [(-1.0, 1.0, 40), (-1.0, 1.0, 25)]
+    monkeypatch.setattr(envmod, "ORACLE_BLOCK_ROWS", 100)
+    fused = env.fused_batch
+
+    def failing(f_t, rows, profile):
+        b = _block_of(rows)
+        if b == 5:
+            time.sleep(0.02)
+        if b in (5, 9):
+            raise ValueError(f"block {b} failed")
+        return fused(f_t, rows, profile)
+
+    monkeypatch.setattr(env, "fused_batch", failing)
+    threads = threading.active_count()
+    for workers in WORKERS:
+        _cpus(monkeypatch, workers)
+        with pytest.raises(ValueError, match="block 5 failed"):
+            oracle_best(env, p, env.f_t_cal, specs)
+        assert threading.active_count() == threads, workers
+
+
+def test_oracle_helpers_run_under_the_callers_errstate(monkeypatch):
+    # a new thread starts with numpy's default errstate ("warn"); the
+    # helpers copy the caller's. exp(-z) of the sigmoid overflows where
+    # the projection z is below about -709
+    tenv = TradeoffEnv(np.array([1.0, 0.0]), 0.2, d_t=2)
+    tp = tenv.make_profile(0, substream(0, "s"), k=1)
+    specs = [(-800.0, 800.0, 41), (-1.0, 1.0, 101)]
+    threads = threading.active_count()
+    got = set()
+    for workers in (1, 2):
+        _cpus(monkeypatch, workers)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            oracle_best(tenv, tp, np.zeros(2), specs)
+        with np.errstate(over="ignore"):
             e_best, sc = oracle_best(tenv, tp, np.zeros(2), specs)
-            assert e_best.tobytes() == want_e.tobytes() and sc == want_sc, cap
+        got.add((e_best.tobytes(), sc))
+        assert threading.active_count() == threads
+    assert len(got) == 1
+    # which thread scores which block is up to the scheduler; a block that
+    # sleeps lets the helper in, and every block sees the caller's errstate
+    fused, seen = tenv.fused_batch, []
+
+    def recording(f_t, rows, profile):
+        seen.append((threading.get_ident(), np.geterr()["over"]))
+        time.sleep(0.002)
+        return fused(f_t, rows, profile)
+
+    monkeypatch.setattr(tenv, "fused_batch", recording)
+    monkeypatch.setattr(envmod, "ORACLE_BLOCK_ROWS", 101)  # one slab a block
+    with np.errstate(over="ignore"):
+        assert oracle_best(tenv, tp, np.zeros(2), specs)[0].tobytes() == e_best.tobytes()
+    assert len(seen) == 41 and {over for _, over in seen} == {"ignore"}
+    assert len({ident for ident, _ in seen}) == 2
+
+
+def test_oracle_deals_each_block_once_under_fast_thread_switching(monkeypatch):
+    # 8 workers on fewer cores, switching threads every microsecond: a lost
+    # update of the block counter would score a block twice or skip one
+    env = SyntheticVoiceEnv(d_e=2, d_t=2, seed=17)
+    p = env.make_profile(0, substream(17, "corpus"), k=1)
+    specs = [(-1.0, 1.0, 40), (-1.0, 1.0, 25)]
+    monkeypatch.setattr(envmod, "ORACLE_BLOCK_ROWS", 25)  # one slab a block
+    want = oracle_best(env, p, env.f_t_cal, specs)
+    fused, firsts = env.fused_batch, []
+
+    def recording(f_t, rows, profile):
+        firsts.append(rows[0, 0])
+        return fused(f_t, rows, profile)
+
+    monkeypatch.setattr(env, "fused_batch", recording)
+    _cpus(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            firsts.clear()
+            e_best, sc = oracle_best(env, p, env.f_t_cal, specs)
+            assert sorted(firsts) == np.linspace(-1.0, 1.0, 40).tolist()
+            assert e_best.tobytes() == want[0].tobytes() and sc == want[1]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class _ThreadRecorder:
+    kind = "mos"
+
+    def __init__(self):
+        self.threads = set()
+
+    def score(self, speech, context):
+        self.threads.add(threading.get_ident())
+        return 4.0
+
+
+def test_oracle_plugins_and_one_cpu_start_no_thread(monkeypatch):
+    env = SyntheticVoiceEnv(d_e=2, d_t=2, seed=17)
+    p = env.make_profile(0, substream(17, "corpus"), k=1)
+    specs = [(-1.0, 1.0, 40), (-1.0, 1.0, 25)]
+    monkeypatch.setattr(envmod, "ORACLE_BLOCK_ROWS", 100)
+    want = oracle_best(env, p, env.f_t_cal, specs)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("oracle_best started a thread")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    _cpus(monkeypatch, 1)
+    e_best, sc = oracle_best(env, p, env.f_t_cal, specs)
+    assert e_best.tobytes() == want[0].tobytes() and sc == want[1]
+    # plug-in scorers need not be thread-safe: they score on the caller's thread
+    _cpus(monkeypatch, 8)
+    env.scorers = {"mos": _ThreadRecorder()}
+    oracle_best(env, p, env.f_t_cal, specs)
+    assert env.scorers["mos"].threads == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("points", [2, 4, 40])
+def test_oracle_zoom_returns_its_best_round(monkeypatch, points):
+    # with an even points, a window's grid misses the previous argmax, so a
+    # later round can score below an earlier one
+    rounds = []
+    best = envmod.oracle_best
+
+    def recording(*args):
+        rounds.append(best(*args))
+        return rounds[-1]
+
+    monkeypatch.setattr(envmod, "oracle_best", recording)
+    for seed in range(10):
+        env = SyntheticVoiceEnv(d_e=2, d_t=2, seed=seed)
+        rng = substream(seed, "corpus")
+        for speaker in range(3):
+            p = env.make_profile(speaker, rng, k=1)
+            lim = float(np.max(np.abs(p.refs))) + 0.1
+            rounds.clear()
+            e_best, sc = oracle_zoom(env, p, env.f_t_cal, -lim, lim, points=points)
+            assert len(rounds) == 4
+            assert sc == max(r[1] for r in rounds), (seed, speaker)
+            first = next(r for r in rounds if r[1] == sc)
+            assert e_best.tobytes() == first[0].tobytes()
 
 
 def test_oracle_zoom_refines_monotonically():
