@@ -455,10 +455,13 @@ def oracle_best(env: _EnvBase, profile: SpeakerProfile, f_t: np.ndarray,
     grid_spec is (lo, hi, points) applied to every embedding dimension,
     or one such triple per dimension. Ties resolve to the
     lexicographically smallest embedding (first in enumeration order),
-    whatever the block size. The blocks are scored on every CPU the
-    process may run on (the calling thread and helper threads), in the
-    same bytes as on one; plug-in scorers score on the calling thread
-    alone. Each dimension needs finite lo <= hi and an integral
+    whatever the block size; a grid scored -inf or NaN everywhere gives
+    (None, -inf). Each CPU the process may run on searches one contiguous
+    run of blocks (the calling thread and helper threads), in the same
+    bytes as on one; plug-in scorers score on the calling thread alone.
+    An error, KeyboardInterrupt included, is raised once every run has
+    ended, and it is the first in grid order, the one a serial loop
+    raises. Each dimension needs finite lo <= hi and an integral
     points >= 1; ValueError names the first that has not, and a grid of
     more than MAX_GRID_POINTS points raises ValueError before anything
     is allocated.
@@ -492,82 +495,60 @@ def oracle_best(env: _EnvBase, profile: SpeakerProfile, f_t: np.ndarray,
     per_block = min(ORACLE_BLOCK_ROWS // slab, n_slabs)
     n_blocks = -(-n_slabs // per_block)
 
-    def new_block():
+    def search(blocks):
+        """The best score over a run of blocks and a copy of its row, in
+        grid order (ties: the first)."""
         block = np.empty((per_block * slab, d_e))
         grid = block.reshape(per_block, *shape[j:], d_e)
         for k in range(j, d_e):
             grid[..., k] = axes[k].reshape(-1, *[1] * (d_e - 1 - k))
-        return block
-
-    def score(block, b):
-        """Best score of block b and a copy of its row (ties: the first)."""
-        start = b * per_block
-        count = min(per_block, n_slabs - start)
         slabs = block.reshape(per_block, slab, d_e)
-        # row-major flat indices of the slabs enumerate the grid lexicographically
-        lead = np.unravel_index(np.arange(start, start + count), shape[:j])
-        for k, idx in enumerate(lead):
-            slabs[:count, :, k] = axes[k][idx][:, None]
-        rows = block[:count * slab]
-        sc = env.fused_batch(f_t, rows, profile)
-        i = int(np.argmax(sc))
-        return sc[i], rows[i].copy()  # the block is rewritten for the next one
+        best_e, best_sc = None, -np.inf
+        for b in blocks:
+            start = b * per_block
+            count = min(per_block, n_slabs - start)
+            # row-major flat indices of the slabs enumerate the grid lexicographically
+            lead = np.unravel_index(np.arange(start, start + count), shape[:j])
+            for k, idx in enumerate(lead):
+                slabs[:count, :, k] = axes[k][idx][:, None]
+            rows = block[:count * slab]
+            sc = env.fused_batch(f_t, rows, profile)
+            i = int(np.argmax(sc))
+            if sc[i] > best_sc:  # a later block must score strictly higher to win
+                best_sc, best_e = float(sc[i]), rows[i].copy()  # the block is rewritten
+        return best_e, best_sc
 
     # plug-in scorers need not be thread-safe, so they score on this thread
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = 1 if env.scorers else min(cpus, n_blocks)
-    best_e = None
-    best_sc = -np.inf
-    for sc, row in _score_blocks(new_block, score, n_blocks, workers):  # in grid order
-        if sc > best_sc:  # a later block must score strictly higher to win
-            best_sc, best_e = float(sc), row
-    return best_e, best_sc
+    found = [None] * workers  # each run's (row, score), or the error that ended it
 
-
-def _score_blocks(new_block, score, n_blocks, workers):
-    """[score(block, b) for b in range(n_blocks)], by the calling thread
-    and workers - 1 helper threads (none for one worker), each with its
-    own block buffer, taking the next block from one counter; numpy
-    releases the GIL in the array work. An error stops every worker at
-    its next block, and the earliest failing block's error is raised:
-    every block before it was dealt first and has run, so it is the one
-    a serial loop raises."""
-    found = [None] * n_blocks
-    errors = []
-    lock = threading.Lock()
-    next_block, stop = 0, False
-
-    def search():
-        nonlocal next_block, stop
-        b = -1
+    def run(w):
         try:
-            block = new_block()
-            while True:
-                with lock:
-                    if stop or next_block == n_blocks:
-                        return
-                    b, next_block = next_block, next_block + 1
-                found[b] = score(block, b)
-        except Exception as exc:
-            errors.append((b, exc))
-            stop = True
+            found[w] = search(range(n_blocks * w // workers, n_blocks * (w + 1) // workers))
+        except BaseException as exc:
+            found[w] = exc
 
-    # a new thread starts with numpy's default errstate; each helper runs
-    # in a copy of the caller's context, which holds the caller's errstate
+    # the calling thread searches run 0 and helper threads the others; numpy
+    # releases the GIL in the array work. A new thread starts with numpy's
+    # default errstate, so each helper runs in a copy of the caller's context
     helpers = []
     try:
-        for _ in range(workers - 1):
-            t = threading.Thread(target=contextvars.copy_context().run, args=(search,))
+        for w in range(1, workers):
+            t = threading.Thread(target=contextvars.copy_context().run, args=(run, w))
             t.start()
             helpers.append(t)
-        search()
+        run(0)
     finally:  # also on KeyboardInterrupt: no helper outlives the call
-        stop = True
         for t in helpers:
             t.join()
-    if errors:
-        raise min(errors, key=lambda e: e[0])[1]
-    return found
+    best_e, best_sc = None, -np.inf
+    for got in found:  # in grid order, so the first error is the serial loop's
+        if isinstance(got, BaseException):
+            raise got
+        if got[1] > best_sc:
+            best_e, best_sc = got
+    return best_e, best_sc
 
 
 def oracle_zoom(env, profile: SpeakerProfile, f_t: np.ndarray,
@@ -580,15 +561,19 @@ def oracle_zoom(env, profile: SpeakerProfile, f_t: np.ndarray,
     grid while scoring only 4 * points**d_e candidates. Returns the best
     round's argmax and score (ties: the earliest round): with an even
     points, a window's grid misses the previous argmax, and a later round
-    can score lower.
+    can score lower. A round whose grid has no best row (oracle_best's
+    (None, -inf)) raises ValueError naming the round.
     """
     d_e = profile.true_embedding.shape[0]
     los = np.full(d_e, float(lo))
     his = np.full(d_e, float(hi))
     best_e, best_sc = None, -np.inf
-    for _ in range(4):
+    for r in range(4):
         specs = [(los[i], his[i], points) for i in range(d_e)]
         e, sc = oracle_best(env, profile, f_t, specs)
+        if e is None:
+            raise ValueError(f"oracle_zoom round {r + 1} of 4: every grid point "
+                             f"scores -inf or NaN")
         if sc > best_sc:
             best_e, best_sc = e, sc
         h = (his - los) / max(points - 1, 1)

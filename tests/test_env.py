@@ -669,6 +669,43 @@ def test_oracle_raises_the_earliest_failing_blocks_error(monkeypatch):
         assert threading.active_count() == threads, workers
 
 
+def test_oracle_interrupt_in_the_callers_run_joins_every_helper(monkeypatch):
+    # block 0 is the first block of run 0, which the calling thread searches;
+    # the interrupt is raised once the helpers' runs have ended
+    env = SyntheticVoiceEnv(d_e=2, d_t=2, seed=17)
+    p = env.make_profile(0, substream(17, "corpus"), k=1)
+    specs = [(-1.0, 1.0, 40), (-1.0, 1.0, 25)]
+    monkeypatch.setattr(envmod, "ORACLE_BLOCK_ROWS", 100)
+    fused, raised_on = env.fused_batch, []
+
+    def interrupted(f_t, rows, profile):
+        if _block_of(rows) == 0:
+            raised_on.append(threading.get_ident())
+            raise KeyboardInterrupt
+        time.sleep(0.002)
+        return fused(f_t, rows, profile)
+
+    monkeypatch.setattr(env, "fused_batch", interrupted)
+    threads = threading.active_count()
+    for workers in (2, 8):
+        _cpus(monkeypatch, workers)
+        with pytest.raises(KeyboardInterrupt):
+            oracle_best(env, p, env.f_t_cal, specs)
+        assert threading.active_count() == threads, workers
+    assert raised_on == [threading.get_ident()] * 2
+
+
+@pytest.mark.parametrize("score", [-np.inf, np.nan])
+def test_oracle_zoom_names_the_round_without_a_best_row(monkeypatch, score):
+    env = SyntheticVoiceEnv(d_e=2, d_t=2, seed=17)
+    p = env.make_profile(0, substream(17, "corpus"), k=1)
+    monkeypatch.setattr(env, "fused_batch",
+                        lambda f_t, rows, profile: np.full(len(rows), score))
+    assert oracle_best(env, p, env.f_t_cal, (-1.0, 1.0, 5)) == (None, -np.inf)
+    with pytest.raises(ValueError, match="oracle_zoom round 1 of 4"):
+        oracle_zoom(env, p, env.f_t_cal, -1.0, 1.0, points=5)
+
+
 def test_oracle_helpers_run_under_the_callers_errstate(monkeypatch):
     # a new thread starts with numpy's default errstate ("warn"); the
     # helpers copy the caller's. exp(-z) of the sigmoid overflows where
@@ -705,8 +742,8 @@ def test_oracle_helpers_run_under_the_callers_errstate(monkeypatch):
 
 
 def test_oracle_deals_each_block_once_under_fast_thread_switching(monkeypatch):
-    # 8 workers on fewer cores, switching threads every microsecond: a lost
-    # update of the block counter would score a block twice or skip one
+    # 8 workers on fewer cores, switching threads every microsecond: runs
+    # that overlapped or left a gap would score a block twice or skip one
     env = SyntheticVoiceEnv(d_e=2, d_t=2, seed=17)
     p = env.make_profile(0, substream(17, "corpus"), k=1)
     specs = [(-1.0, 1.0, 40), (-1.0, 1.0, 25)]
