@@ -147,7 +147,7 @@ class PolicyNetwork:
         np.matmul(h2.T, dv, out=grads["value.W"])
         dv.sum(axis=0, out=grads["value.b"])
         np.matmul(dmean, p["mean.W"].T, out=d1)
-        np.matmul(dv, p["value.W"].T, out=d2)
+        np.multiply(dv, p["value.W"].T, out=d2)  # a one-term product: dv @ value.W.T
         d1 += d2  # dh2
         np.multiply(h2, h2, out=d2)
         np.subtract(1.0, d2, out=d2)
@@ -278,13 +278,16 @@ class Adam:
 
 
 def ppo_loss_and_grads(policy: PolicyNetwork, batch: RolloutBatch, *,
-                       clip_epsilon: float, value_coef: float, entropy_coef: float):
+                       clip_epsilon: float, value_coef: float, entropy_coef: float,
+                       squash: np.ndarray | None = None):
     """One forward/backward pass of the clipped PPO objective.
 
     Returns (loss scalar, gradient, report dict). The loss is the
     minimized quantity: -surrogate + value_coef * value MSE
     - entropy_coef * entropy. The gradient is a new vector laid out like
     policy.flat, the one Adam.step takes; policy.views(gradient) names it.
+    An SS policy's log-probs subtract squash, tanh_correction(batch.raw_actions),
+    computed here when not given; FS ignores it.
     """
     if batch.advantages is None:
         raise ValueError("batch advantages not computed")
@@ -295,14 +298,17 @@ def ppo_loss_and_grads(policy: PolicyNetwork, batch: RolloutBatch, *,
         batch.states, batch.raw_actions, batch.log_probs, batch.advantages, batch.returns))
     n = len(A)
     mean, log_std, value, cache = policy.forward(states)
-    lp_new = action_log_prob(policy, raws, mean, log_std)
+    lp_new = gaussian_log_prob(raws, mean, log_std)
+    if policy.scenario == "ss":  # action_log_prob, with the squash term as given
+        lp_new = lp_new - (tanh_correction(raws) if squash is None else squash.reshape(n))
     ratio = np.exp(lp_new - log_probs)
-    if np.max(ratio) > MAX_RATIO:
+    max_ratio = float(np.max(ratio))
+    if max_ratio > MAX_RATIO:
         raise UpdateRejected(
-            f"importance ratio exploded (max {np.max(ratio):.3e} > {MAX_RATIO:g})"
+            f"importance ratio exploded (max {max_ratio:.3e} > {MAX_RATIO:g})"
         )
     unclipped = ratio * A
-    clipped = np.clip(ratio, 1.0 - clip_epsilon, 1.0 + clip_epsilon) * A
+    clipped = np.minimum(np.maximum(ratio, 1.0 - clip_epsilon), 1.0 + clip_epsilon) * A  # np.clip
     surrogate = np.minimum(unclipped, clipped)
     policy_loss = -surrogate.mean()
     v_err = value - returns
@@ -329,7 +335,7 @@ def ppo_loss_and_grads(policy: PolicyNetwork, batch: RolloutBatch, *,
         "value_loss": value_loss,
         "entropy": entropy,
         "approx_kl": float(np.mean(log_probs - lp_new)),
-        "max_ratio": float(np.max(ratio)),
+        "max_ratio": max_ratio,
     }
     return float(loss), grads, report
 
@@ -343,19 +349,23 @@ def ppo_update(policy: PolicyNetwork, batch: RolloutBatch, config: RLConfig,
     if config.update_epochs < 1:
         raise ValueError("update_epochs must be >= 1")
     report = {}
+    # the raw actions do not change between epochs, so neither does the squash term
+    squash = tanh_correction(batch.raw_actions) if policy.scenario == "ss" else None
+    log_std = policy.params["log_std"]
     for epoch in range(1, config.update_epochs + 1):
         try:
             with np.errstate(over="raise", invalid="raise"):
                 _, grads, report = ppo_loss_and_grads(
                     policy, batch, clip_epsilon=config.clip_epsilon,
-                    value_coef=config.value_coef, entropy_coef=config.entropy_coef)
+                    value_coef=config.value_coef, entropy_coef=config.entropy_coef,
+                    squash=squash)
                 optimizer.step(policy.flat, grads)
         except FloatingPointError as exc:
             raise FloatingPointError(
                 f"PPO update epoch {epoch} of {config.update_epochs} at learning_rate="
                 f"{config.learning_rate!r}: {exc}") from None
-        np.clip(policy.params["log_std"], LOG_STD_MIN, LOG_STD_MAX,
-                out=policy.params["log_std"])
+        np.maximum(log_std, LOG_STD_MIN, out=log_std)  # np.clip, in place
+        np.minimum(log_std, LOG_STD_MAX, out=log_std)
     return report
 
 

@@ -1,7 +1,8 @@
 """Command-line front-end.
 
-Exit codes: 0 success, 2 config error, 3 divergence abort (also a
-non-finite or rejected PPO update), 4 I/O error (also a bad checkpoint).
+Exit codes: 0 success, 2 config error (also settings that need more
+memory than the machine has), 3 divergence abort (also a non-finite or
+rejected PPO update), 4 I/O error (also a bad checkpoint).
 """
 
 from __future__ import annotations
@@ -160,6 +161,9 @@ def main(argv=None) -> None:
         code = run(argv)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        code = EXIT_CONFIG
+    except MemoryError as exc:  # numpy names the array it could not allocate
+        print(f"config error: not enough memory for these settings: {exc}", file=sys.stderr)
         code = EXIT_CONFIG
     except (DivergenceError, FloatingPointError, UpdateRejected) as exc:
         print(f"divergence abort: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ through the swept parameter.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -314,16 +315,21 @@ def build_env(spec: ExperimentSpec, corpus: Corpus | None):
 
 # -- training --------------------------------------------------------------
 
-def _score_row(spec, episode, speaker, variant, sim, mos, intell, fused):
-    """One RUN_COLUMNS row of a train or evaluation run."""
+def _run_head(spec) -> dict:
+    """The RUN_COLUMNS that one run's rows share, in column order."""
     cfg = spec.config
-    return {
-        "run_id": spec.run_id, "scenario": spec.scenario, "gamma": cfg.gamma,
-        "action_scale": cfg.action_scale, "steps": spec.step_budget,
-        "seed": cfg.seed, "episode": episode, "speaker": speaker,
-        "variant": variant, "sim": float(sim), "mos": float(mos),
-        "intell": float(intell), "fused": float(fused),
-    }
+    return {"run_id": spec.run_id, "scenario": spec.scenario, "gamma": cfg.gamma,
+            "action_scale": cfg.action_scale, "steps": spec.step_budget, "seed": cfg.seed}
+
+
+def _score_rows(spec, variant, episodes, speakers, scores) -> list[dict]:
+    """RUN_COLUMNS rows of a run: row i is episode episodes[i] of speaker
+    speakers[i] (ints), scored scores[i] = (sim, mos, intell, fused) as floats."""
+    head = _run_head(spec)
+    return [{**head, "episode": e, "speaker": s, "variant": variant,
+             "sim": sim, "mos": mos, "intell": intell, "fused": fused}
+            for e, s, (sim, mos, intell, fused)
+            in zip(episodes, speakers, np.asarray(scores, dtype=float).tolist())]
 
 
 def run_episode(env, policy: PolicyNetwork | None, profile, f_t, *,
@@ -369,13 +375,14 @@ def run_episodes(env, policy: PolicyNetwork, refs, targets, F, noise):
         E = env.move(E, refs, np.tanh(raws) if env.scenario == "ss" else raws)
         scores = env.score_rows(F, E, targets)
         sc_prev, sc = sc, fuse_scores(scores, env.weights)
-        per_step.append({"states": states, "raws": raws,
-                         "log_probs": action_log_prob(policy, raws, mean, log_std),
+        per_step.append({"states": states, "raws": raws, "means": mean,
                          "rewards": sc - sc_prev, "values": values})
     # step-major, then ([N,] steps, ...); np.stack costs 5x np.array on one episode
-    return {**{k: np.ascontiguousarray(np.array([s[k] for s in per_step]).swapaxes(0, len(lead)))
-               for k in per_step[0]},
-            "initial_fused": sc0, "final_fused": sc, "final_scores": scores}
+    eps = {k: np.ascontiguousarray(np.array([s[k] for s in per_step]).swapaxes(0, len(lead)))
+           for k in per_step[0]}
+    # the policy is fixed for the rollout: one log-prob pass over every step
+    eps["log_probs"] = action_log_prob(policy, eps["raws"], eps.pop("means"), log_std)
+    return {**eps, "initial_fused": sc0, "final_fused": sc, "final_scores": scores}
 
 
 def train(spec: ExperimentSpec, corpus: Corpus | None = None, *,
@@ -389,7 +396,7 @@ def train(spec: ExperimentSpec, corpus: Corpus | None = None, *,
     """
     cfg = spec.config.validate()
     env, profiles, texts = build_env(spec, corpus)
-    train_idx, _ = split_speakers(len(profiles), spec.eval_frac)
+    train_idx = np.array(split_speakers(len(profiles), spec.eval_frac)[0])
     policy = PolicyNetwork(
         env.layout, spec.scenario, k=cfg.k, hidden=cfg.hidden,
         encoder=cfg.encoder, rng=substream(cfg.seed, "policy-init"),
@@ -403,30 +410,27 @@ def train(spec: ExperimentSpec, corpus: Corpus | None = None, *,
     n_texts = texts_arr.shape[1]
     # every episode takes exactly `steps` steps
     n_episodes = -(-cfg.rollout_batch // steps)
-    rows = []
-    episode = 0
-    diverged_streak = 0
+    picked, scores = [], []  # per iteration: (episodes,) picks, (episodes, 4) scores
+    streak, at = 0, np.arange(n_episodes)  # diverged episodes in a row, across iterations
     for it in range(1, cfg.train_iters + 1):
         # three bulk draws, in this order: speakers, texts, sampling noise
-        picks = [train_idx[i] for i in rng.integers(len(train_idx), size=n_episodes)]
+        picks = train_idx[rng.integers(len(train_idx), size=n_episodes)]
         F = texts_arr[picks, rng.integers(n_texts, size=n_episodes)]
         noise = rng.standard_normal((n_episodes, steps, policy.action_dim))
         eps = run_episodes(env, policy, refs[picks], targets[picks], F, noise)
-        init, final, scores = eps["initial_fused"], eps["final_fused"], eps["final_scores"]
-        diverged = final < init - 0.5 * np.abs(init)
-        for si, sim, mos, intell, sc, sc0, bad in zip(
-                picks, scores.sim.tolist(), scores.mos.tolist(), scores.intell.tolist(),
-                final.tolist(), init.tolist(), diverged.tolist()):
-            rows.append(_score_row(spec, episode, profiles[si].speaker_id, "rl",
-                                   sim, mos, intell, sc))
-            episode += 1
-            diverged_streak = diverged_streak + 1 if bad else 0
-            if diverged_streak >= 100:
-                raise DivergenceError(
-                    f"fused score below half the raw baseline for "
-                    f"{diverged_streak} consecutive episodes "
-                    f"(last: {sc:.4f} vs raw {sc0:.4f})"
-                )
+        init, final, t = eps["initial_fused"], eps["final_fused"], eps["final_scores"]
+        # each episode's streak: its distance to the last good episode, the
+        # ones before this iteration standing at index -1 - streak
+        run = at - np.maximum.accumulate(
+            np.where(final < init - 0.5 * np.abs(init), -1 - streak, at))
+        if run.max() >= 100:
+            i = int(np.argmax(run >= 100))
+            raise DivergenceError(
+                f"fused score below half the raw baseline for {run[i]} consecutive "
+                f"episodes (last: {final[i]:.4f} vs raw {init[i]:.4f})")
+        streak = int(run[-1])
+        picked.append(picks)
+        scores.append(np.column_stack([t.sim, t.mos, t.intell, final]))
         batch = RolloutBatch(*(
             eps[k] for k in ("states", "raws", "log_probs", "rewards", "values")))
         try:  # after an overflowing update, values near 1e300 overflow here first
@@ -436,11 +440,23 @@ def train(spec: ExperimentSpec, corpus: Corpus | None = None, *,
             raise FloatingPointError(f"advantages of iteration {it} of {cfg.train_iters} at "
                                      f"learning_rate={cfg.learning_rate!r}: {exc}") from None
         ppo_update(policy, batch, cfg, opt)
+    speakers = [profiles[i].speaker_id for i in np.ravel(picked).tolist()]
+    scores = np.array(scores).reshape(-1, 4)
     if write_outputs:
         spec.run_dir.mkdir(parents=True, exist_ok=True)
-        write_rows(spec.run_dir / "train.csv", rows)
+        # write_rows' bytes for the rows below: csv.writer quotes the shared
+        # columns once, and it writes an int as str and a float as repr
+        line = io.StringIO(newline="")
+        csv.writer(line).writerow([*_run_head(spec).values(), ""])
+        head = line.getvalue()[:-len("\r\n")]
+        with replace_on_success(spec.run_dir / "train.csv", newline="") as fh:
+            csv.writer(fh).writerow(RUN_COLUMNS)
+            fh.write("".join([
+                f"{head}{e},{s},rl,{a!r},{b!r},{c!r},{d!r}\r\n"
+                for e, (s, (a, b, c, d)) in enumerate(zip(speakers, scores.tolist()))]))
         save_checkpoint(policy, spec.run_dir / "checkpoint.json", config=cfg,
-                        step=episode, rng=rng)
+                        step=len(speakers), rng=rng)
+    rows = _score_rows(spec, "rl", range(len(speakers)), speakers, scores)
     return policy, rows
 
 
@@ -521,9 +537,9 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
             eps = run_episodes(env, policy, np.repeat(profile.refs[None], n, 0),
                                profile.target_voiceprint, np.resize(spk_texts, (n, cfg.d_t)),
                                np.zeros((n, spec.step_budget, policy.action_dim)))
-            s, fused = eps["final_scores"], eps["final_fused"]
-            rows += [_score_row(spec, ei, profile.speaker_id, "rl", *t) for ei, t
-                     in enumerate(np.column_stack([s.sim, s.mos, s.intell, fused]).tolist())]
+            s = eps["final_scores"]
+            rows += _score_rows(spec, "rl", range(n), [profile.speaker_id] * n,
+                                np.column_stack([s.sim, s.mos, s.intell, eps["final_fused"]]))
         lim = float(np.max(np.abs(profile.refs))) + margin
         for ti, f_t in enumerate(spk_texts):
             for variant in baselines:
@@ -536,8 +552,8 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
                 else:
                     e, _ = oracle_zoom(env, profile, f_t, -lim, lim)
                 t = env.score_state(f_t, e, profile)
-                rows.append(_score_row(spec, ti, profile.speaker_id, variant,
-                                       t.sim, t.mos, t.intell, fuse_scores(t, env.weights)))
+                rows += _score_rows(spec, variant, [ti], [profile.speaker_id],
+                                    [[t.sim, t.mos, t.intell, fuse_scores(t, env.weights)]])
     return EvalResult(rows)
 
 

@@ -431,6 +431,37 @@ def test_ppo_update_steps_adam_on_the_objectives_gradient_bitwise(epochs):
     assert not np.array_equal(policy.flat, _policy("ss", hidden=8).flat)
 
 
+@pytest.mark.parametrize("scenario", ["ss", "fs"])
+def test_ppo_update_computes_the_squash_term_once(scenario, monkeypatch):
+    # the raw actions do not change between epochs: one tanh_correction per
+    # SS update, whatever the epoch count, and none in FS
+    calls = []
+    real = agent.tanh_correction
+    monkeypatch.setattr(agent, "tanh_correction",
+                        lambda raw: calls.append(raw.shape) or real(raw))
+    policy = _policy(scenario, hidden=8)
+    batch = _batch(policy, n=63)
+    calls.clear()
+    ppo_update(policy, batch, RLConfig(update_epochs=4), Adam(policy.flat, 1e-2))
+    assert calls == ([batch.raw_actions.shape] if scenario == "ss" else [])
+
+
+def test_ppo_loss_without_the_squash_term_computes_it_bitwise():
+    policy = _policy("ss", hidden=8)
+    batch = _batch(policy, n=63)
+    policy.flat += 0.05 * np.random.default_rng(3).standard_normal(policy.flat.size)
+    kw = dict(clip_epsilon=0.2, value_coef=0.5, entropy_coef=0.01)
+    loss, grads, report = ppo_loss_and_grads(policy, batch, **kw)
+    squash = tanh_correction(batch.raw_actions)
+    given_loss, given_grads, given_report = ppo_loss_and_grads(policy, batch, **kw,
+                                                               squash=squash)
+    assert loss == given_loss and report == given_report
+    assert grads.tobytes() == given_grads.tobytes()
+    assert report["max_ratio"] != 1.0  # the policy moved off the batch's
+    # and the given term is the one subtracted
+    assert ppo_loss_and_grads(policy, batch, **kw, squash=squash + 0.1)[2] != report
+
+
 @pytest.mark.parametrize("encoder", ["segments"])
 def test_forward_bit_equal_across_batch_sizes(encoder):
     six_segments = StateLayout(d_t=3, d_e=2, d_v=4, include_f_rv=True,

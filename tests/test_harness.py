@@ -292,6 +292,43 @@ def test_run_episode_scores_each_state_once(corpus, monkeypatch):
         ep["final_fused"] - ep["initial_fused"], abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 86])
+def test_run_episodes_takes_one_log_prob_pass(corpus, monkeypatch, n):
+    """One action_log_prob call per run_episodes call, over the stacked
+    ([N,] steps, action_dim) arrays; step t's log-probs keep the bits of a
+    per-step call on that step's rows."""
+    spec = _tiny_spec(None, corpus)
+    env, profiles, texts = build_env(spec, corpus)
+    policy = PolicyNetwork(env.layout, "ss", k=1, hidden=8,
+                           rng=substream(0, "policy-init"))
+    policy.params["mean.W"] *= 100.0
+    calls = []
+    real = harness.action_log_prob
+    monkeypatch.setattr(harness, "action_log_prob",
+                        lambda p, raw, *a: calls.append(raw.shape) or real(p, raw, *a))
+    steps, dim = spec.step_budget, policy.action_dim
+    if n == 1:
+        eps = harness.run_episode(env, policy, profiles[0], texts[0][0],
+                                  rng=substream(0, "rollout"))
+        states, raws = eps["states"][None], eps["raws"][None]
+        lead = ()
+    else:
+        picks = substream(1, "picks").integers(len(profiles), size=n)
+        eps = harness.run_episodes(
+            env, policy, np.stack([profiles[i].refs for i in picks]),
+            np.stack([profiles[i].target_voiceprint for i in picks]),
+            np.stack([texts[i][0] for i in picks]),
+            substream(1, "noise").standard_normal((n, steps, dim)))
+        states, raws = eps["states"], eps["raws"]
+        lead = (n,)
+    assert calls == [lead + (steps, dim)]
+    log_probs = eps["log_probs"].reshape(-1, steps)
+    for t in range(steps):
+        mean, log_std, _, _ = policy.forward(states[:, t])
+        want = real(policy, raws[:, t], mean, log_std)
+        assert log_probs[:, t].tobytes() == want.tobytes(), t
+
+
 def _lockstep_case(case):
     """(env, policy, profiles, texts) with a policy whose mean moves."""
     rng = substream(5, "lockstep-case")
@@ -520,6 +557,42 @@ def test_divergence_guard_aborts(tmp_path, corpus, monkeypatch):
         train(spec, corpus, write_outputs=False)
 
 
+@pytest.mark.parametrize("start", [3, 6])
+def test_divergence_streak_crosses_iterations(tmp_path, corpus, monkeypatch, start):
+    """The streak runs over train's episodes in order, across iterations of
+    6 episodes (rollout_batch 16, 3 steps): 99 diverged in a row do not
+    abort and one good episode resets the count; the 100th aborts at that
+    episode, quoting its fused and raw scores as the per-episode loop did.
+    start 3 puts the streaks mid-iteration, start 6 at a boundary."""
+    real, bad, seen = harness.run_episodes, set(), []
+
+    def sabotaged(*args):
+        eps = real(*args)
+        init = eps["initial_fused"]
+        lo = sum(len(f) for _, f in seen)
+        at = lo + np.arange(len(init))
+        eps["final_fused"] = np.where(np.isin(at, list(bad)),
+                                      init - np.abs(init) - 1e-3 * at, init)
+        seen.append((init, eps["final_fused"]))
+        return eps
+
+    monkeypatch.setattr(harness, "run_episodes", sabotaged)
+    spec = _tiny_spec(tmp_path, corpus, train_iters=40)
+    bad.update(range(start, start + 99), range(start + 100, start + 199))
+    train(spec, corpus, write_outputs=False)
+    assert len(seen) == 40
+    bad.clear()
+    seen.clear()
+    bad.update(range(start, start + 100))
+    with pytest.raises(DivergenceError) as exc:
+        train(spec, corpus, write_outputs=False)
+    last = start + 99
+    assert len(seen) == last // 6 + 1  # no episode after the 100th ran
+    init, final = (float(x[last % 6]) for x in seen[-1])
+    assert str(exc.value) == (f"fused score below half the raw baseline for 100 "
+                              f"consecutive episodes (last: {final:.4f} vs raw {init:.4f})")
+
+
 # -- evaluation ------------------------------------------------------------
 
 def test_evaluate_row_counts_and_summary_consistency(tmp_path, corpus):
@@ -550,8 +623,8 @@ def _assert_rows_match_one_at_a_time_play(spec, corpus, policy):
             ep = harness.run_episode(env, policy, profiles[si],
                                      texts[si][ei % len(texts[si])], mode="mode")
             t = ep["final_scores"]
-            want.append(harness._score_row(spec, ei, profiles[si].speaker_id, "rl",
-                                           t.sim, t.mos, t.intell, ep["final_fused"]))
+            want += harness._score_rows(spec, "rl", [ei], [profiles[si].speaker_id],
+                                        [[t.sim, t.mos, t.intell, ep["final_fused"]]])
     rows = evaluate(policy, spec, corpus, variants=("rl",)).rows
     scores = ("sim", "mos", "intell", "fused")
     assert len(rows) == len(want)
@@ -738,8 +811,8 @@ def test_evaluate_finetune_row_scores_the_proxy_embedding(tmp_path, corpus):
         p = profiles[r["speaker"]]
         f_t = texts[r["speaker"]][r["episode"]]
         t = env.score_state(f_t, finetune_proxy(env, p, f_t)[0], p)
-        assert r == harness._score_row(spec, r["episode"], p.speaker_id, "finetune",
-                                       t.sim, t.mos, t.intell, fuse_scores(t, env.weights))
+        assert [r] == harness._score_rows(spec, "finetune", [r["episode"]], [p.speaker_id],
+                                          [[t.sim, t.mos, t.intell, fuse_scores(t, env.weights)]])
 
 
 def test_evaluate_baseline_rows_come_raw_finetune_oracle(tmp_path, monkeypatch):
@@ -1008,9 +1081,8 @@ def test_write_read_rows_roundtrip_with_quoting(tmp_path):
                                   "columns_none"])
 def test_write_rows_bytes_equal_dictwriter(tmp_path, case):
     spec = ExperimentSpec(run_id='run "q", x')
-    rows = [harness._score_row(spec, i, 3, "rl",
-                               0.1 * i, 4.5, 1e-17, -0.0 if i else 1 / 3)
-            for i in range(4)]
+    rows = harness._score_rows(spec, "rl", range(4), [3] * 4,
+                               [[0.1 * i, 4.5, 1e-17, -0.0 if i else 1 / 3] for i in range(4)])
     columns = harness.RUN_COLUMNS
     if case == "extra_keys":
         rows = [{**r, "extra": "x,y", "note": None} for r in rows]
@@ -1027,6 +1099,31 @@ def test_write_rows_bytes_equal_dictwriter(tmp_path, case):
     writer.writeheader()
     writer.writerows(rows)
     assert path.read_bytes() == want.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("run_id", ['a,"b', "two\nlines", "plain"])
+@pytest.mark.parametrize("case", ["ss", "ss-no-iterations", "fs"])
+def test_train_csv_has_the_bytes_write_rows_writes(tmp_path, case, run_id):
+    """train writes train.csv from its score arrays; the file has the bytes
+    that write_rows writes for the rows train returns (header only without
+    iterations), and those rows have RUN_COLUMNS as keys, in order, with
+    str, int and float values."""
+    corpus = gen_corpus(7, 8, 3 if case == "fs" else 1, 4, 3, 2, tmp_path / "c.tsv")
+    iters = 0 if case == "ss-no-iterations" else 2
+    spec = replace(_tiny_spec(tmp_path, corpus, train_iters=iters), run_id=run_id)
+    _, rows = train(spec, corpus)
+    write_rows(tmp_path / "want.csv", rows)
+    assert (spec.run_dir / "train.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert len(rows) == iters * -(-16 // spec.step_budget)
+    types = dict.fromkeys(harness.RUN_COLUMNS, float)
+    types.update(run_id=str, scenario=str, steps=int, seed=int, episode=int,
+                 speaker=int, variant=str)
+    for i, r in enumerate(rows):
+        assert list(r) == harness.RUN_COLUMNS
+        assert {k: type(v) for k, v in r.items()} == types
+        assert (r["run_id"], r["episode"], r["variant"]) == (run_id, i, "rl")
+    if rows:
+        assert _read_csv(spec.run_dir / "train.csv")[0]["run_id"] == run_id
 
 
 def test_write_rows_whole_file_through_links_and_pipes(tmp_path):
@@ -1269,6 +1366,29 @@ def test_cli_exit_codes(tmp_path, capsys):
         cli.main(["eval", "--checkpoint", str(ck), "--corpus", str(corpus_path)])
     assert exc.value.code == 4
     assert "steps_ss=3.0 (need int)" in capsys.readouterr().err
+
+
+def test_cli_settings_too_large_for_memory_exit_2(tmp_path, capsys, monkeypatch):
+    """numpy's MemoryError (here raised by a stand-in for train, with the
+    text numpy gives for steps_ss=1000000000000) is one config error line,
+    exit 2, and no traceback."""
+    corpus_path = tmp_path / "c.tsv"
+    _cli("gen-data", "--seed", "1", "--speakers", "6", "--refs", "1",
+         "--dim-e", "3", "--dim-t", "2", "--out", str(corpus_path))
+    text = ("Unable to allocate 21.8 TiB for an array with shape "
+            "(1, 1000000000000, 3) and data type float64")
+
+    def too_large(*args, **kwargs):
+        raise MemoryError(text)
+
+    monkeypatch.setattr(cli, "train", too_large)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train", "--corpus", str(corpus_path), "--out", str(tmp_path / "runs")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: not enough memory for these settings: {text}\n"
+    assert "Traceback" not in err
 
 
 def test_cli_training_blowups_exit_3_and_a_nan_checkpoint_exits_4(tmp_path, capsys):
