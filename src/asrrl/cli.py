@@ -1,8 +1,9 @@
 """Command-line front-end.
 
 Exit codes: 0 success, 2 config error (also settings that need more
-memory than the machine has), 3 divergence abort (also a non-finite or
-rejected PPO update), 4 I/O error (also a bad checkpoint).
+memory than the machine has, and a corpus spread or an action_scale at
+which squared embedding norms would overflow), 3 divergence abort (also a
+non-finite or rejected PPO update), 4 I/O error (also a bad checkpoint).
 """
 
 from __future__ import annotations

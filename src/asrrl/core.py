@@ -15,6 +15,10 @@ from typing import Sequence
 import numpy as np
 
 SEP_VALUE = 0.0
+# the largest squared embedding norm that settings may lead to, far enough
+# below float64's 1.8e308 that scoring's squared norms, and sums of a few,
+# stay finite
+NORM_SQ_MAX = 1e300
 
 
 def _as_vector(x, name: str, rows: bool = False) -> np.ndarray:
@@ -240,6 +244,15 @@ class RLConfig:
             raise ValueError(f"steps_ss={self.steps_ss}, steps_fs={self.steps_fs}: need >= 1")
         if self.action_scale <= 0:
             raise ValueError("action_scale must be positive")
+        try:  # SS moves each coordinate by at most steps_ss * action_scale
+            reach_sq = self.d_e * (self.steps_ss * self.action_scale) ** 2
+        except OverflowError:
+            reach_sq = math.inf
+        if reach_sq > NORM_SQ_MAX:
+            raise ValueError(f"action_scale={self.action_scale!r} is too large for "
+                             f"steps_ss={self.steps_ss} moves at d_e={self.d_e}: "
+                             f"d_e * (steps_ss * action_scale)**2 must be at most "
+                             f"{NORM_SQ_MAX:g}")
         if self.clip_epsilon <= 0:
             raise ValueError("clip_epsilon must be positive")
         if self.learning_rate <= 0:

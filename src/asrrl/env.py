@@ -26,8 +26,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import (FSAction, SSAction, Action, RLConfig, StateLayout, apply_ss,
-                   fuse_fs, mean_init)
+from .core import (NORM_SQ_MAX, FSAction, SSAction, Action, RLConfig, StateLayout,
+                   apply_ss, fuse_fs, mean_init)
 from .scoring import (
     RewardWeights,
     ScoreContext,
@@ -255,6 +255,7 @@ class SyntheticVoiceEnv(_EnvBase):
         super().__init__(layout, scenario, step_budget, action_scale, weights)
         self.d_e, self.d_t, self.d_s, self.d_v = d_e, d_t, d_s, d_v
         self.seed = int(seed)
+        self.check_spreads(d_e, sigma_star, sigma_ref)
         self.sigma_star = float(sigma_star)
         self.sigma_ref = float(sigma_ref)
         # the quality/intelligibility shell sits at 1.5x the expected
@@ -283,6 +284,20 @@ class SyntheticVoiceEnv(_EnvBase):
         self.V = self.V + (self.SIGNAL_BOOST - 1.0) * np.outer(self.V @ u, u)
         self.E_post = rng.standard_normal((d_e, d_s)) / math.sqrt(d_s)
         self.f_t_cal = rng.standard_normal(d_t)
+
+    @staticmethod
+    def check_spreads(d_e: int, sigma_star: float, sigma_ref: float) -> None:
+        """ValueError naming a spread unless both are finite and >= 0 and
+        (sigma_star² + sigma_ref²)·d_e, a reference's expected squared
+        distance from the population mean, is at most NORM_SQ_MAX (1e300)."""
+        spreads = {"sigma_ref": sigma_ref, "sigma_star": sigma_star}
+        for key, value in spreads.items():
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{key} must be finite and >= 0, got {value!r}")
+        if (sigma_star * sigma_star + sigma_ref * sigma_ref) * d_e > NORM_SQ_MAX:
+            key = max(spreads, key=spreads.get)
+            raise ValueError(f"{key}={spreads[key]!r} is too large at d_e={d_e}: (sigma_star**2 "
+                             f"+ sigma_ref**2) * d_e must be at most {NORM_SQ_MAX:g}")
 
     # -- world model -------------------------------------------------------
     def synth(self, f_t: np.ndarray, e: np.ndarray) -> np.ndarray:

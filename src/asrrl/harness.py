@@ -103,6 +103,28 @@ def _parse_rows(s: str, n_rows: int, width: int, where: str,
     return out
 
 
+def _parse_fields(fields: list[str], shapes, where: str) -> list[np.ndarray]:
+    """A record's vector fields as (n_rows, width) arrays, for shapes'
+    (name, n_rows, width), through one float conversion and one finiteness
+    check. A record that fails a count, the conversion or the check goes
+    field by field through _parse_rows, whose ConfigError names the first
+    bad vector."""
+    if [[r.count(",") for r in f.split(";")] for f in fields] == [
+            [w - 1] * n for _, n, w in shapes]:
+        try:
+            vals = np.array(list(map(float, ",".join(fields).replace(";", ",").split(","))))
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(vals).all():
+                out, at = [], 0
+                for _, n, w in shapes:
+                    out.append(vals[at:at + n * w].reshape(n, w))
+                    at += n * w
+                return out
+    return [_parse_rows(f, n, w, where, name) for f, (name, n, w) in zip(fields, shapes)]
+
+
 CORPUS_META_KEYS = {
     "d_e": int, "d_t": int, "d_v": int, "d_s": int, "k": int, "seed": int,
     "n_speakers": int, "texts_per_speaker": int,
@@ -117,21 +139,24 @@ def gen_corpus(seed: int, n_speakers: int, k_refs: int, d_e: int, d_t: int,
 
     The file is self-describing: a versioned header carries every
     dimension and seed needed to reconstruct the matching environment.
-    It is written whole or not at all.
+    It is written whole or not at all. sigma_ref must be finite, >= 0 and
+    small enough that (sigma_star² + sigma_ref²)·d_e <= 1e300 (sigma_star
+    is the environment's 0.005); anything else is a ConfigError.
     """
     for name, n in [("n_speakers", n_speakers), ("k_refs", k_refs),
                     ("d_e", d_e), ("d_t", d_t),
                     ("texts_per_speaker", texts_per_speaker)]:
         if n < 1:
             raise ConfigError(f"{name} must be >= 1, got {n}")
-    if not (math.isfinite(sigma_ref) and sigma_ref >= 0):
-        raise ConfigError(f"sigma_ref must be finite and >= 0, got {sigma_ref}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    try:
+        env = SyntheticVoiceEnv(d_e=d_e, d_t=d_t, seed=seed, sigma_ref=sigma_ref)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     path = Path(path)
     if path.exists() and not force:
         raise FileExistsError(f"{path} exists; pass force=True / --force to overwrite")
-    env = SyntheticVoiceEnv(d_e=d_e, d_t=d_t, seed=seed, sigma_ref=sigma_ref)
     rng = substream(seed, "corpus")
     meta = {
         "d_e": d_e, "d_t": d_t, "d_v": env.d_v, "d_s": env.d_s, "k": k_refs,
@@ -163,6 +188,12 @@ def gen_corpus(seed: int, n_speakers: int, k_refs: int, d_e: int, d_t: int,
 
 
 def load_corpus(path) -> Corpus:
+    """The corpus gen_corpus wrote to path. Any other content is a
+    ConfigError naming path:line: among others a header spread
+    (sigma_ref, sigma_star) that is not finite, >= 0 and small enough that
+    (sigma_star² + sigma_ref²)·d_e <= 1e300, and for a record the first bad
+    vector in field order (its count, else its numbers, else their
+    finiteness). Values parse as float() parses them."""
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split()
@@ -188,11 +219,14 @@ def load_corpus(path) -> Corpus:
         missing = set(CORPUS_META_KEYS) - set(meta)
         if missing:
             raise ConfigError(f"{path}:1: corpus header missing keys {sorted(missing)}")
-        for key in ("sigma_ref", "sigma_star"):
-            if not (math.isfinite(meta[key]) and meta[key] >= 0):
-                raise ConfigError(f"{path}:1: header {key} must be finite and >= 0, "
-                                  f"got {meta[key]!r}")
+        try:
+            SyntheticVoiceEnv.check_spreads(meta["d_e"], meta["sigma_star"], meta["sigma_ref"])
+        except ValueError as exc:
+            raise ConfigError(f"{path}:1: header {exc}") from None
         d_e = meta["d_e"]
+        shapes = [("e_star", 1, d_e), ("refs", meta["k"], d_e),
+                  ("voiceprint", 1, meta["d_v"]),
+                  ("texts", meta["texts_per_speaker"], meta["d_t"])]
         profiles, texts = [], []
         for lineno, line in enumerate(fh, 2):
             line = line.rstrip("\n")
@@ -202,7 +236,7 @@ def load_corpus(path) -> Corpus:
             fields = line.split("\t")
             if len(fields) != 5:
                 raise ConfigError(f"{where}: {len(fields)} fields, expected 5")
-            sid, e_star, refs, vp, txts = fields
+            sid = fields[0]
             try:
                 sid = int(sid)
             except ValueError:
@@ -210,14 +244,9 @@ def load_corpus(path) -> Corpus:
             if sid != len(profiles):
                 raise ConfigError(f"{where}: speaker id {sid} at record {len(profiles)}; "
                                   f"ids must number the records from 0")
-            profiles.append(SpeakerProfile(
-                sid,
-                _parse_rows(e_star, 1, d_e, where, "e_star")[0],
-                _parse_rows(refs, meta["k"], d_e, where, "refs"),
-                _parse_rows(vp, 1, meta["d_v"], where, "voiceprint")[0],
-            ))
-            texts.append(_parse_rows(txts, meta["texts_per_speaker"], meta["d_t"],
-                                     where, "texts"))
+            e_star, refs, vp, txts = _parse_fields(fields[1:], shapes, where)
+            profiles.append(SpeakerProfile(sid, e_star[0], refs, vp[0]))
+            texts.append(txts)
     if len(profiles) != meta["n_speakers"]:
         raise ConfigError(
             f"corpus has {len(profiles)} records, header says {meta['n_speakers']}"
@@ -351,9 +380,11 @@ def run_episodes(env, policy: PolicyNetwork, refs, targets, F, noise):
     score_rows call per step. One episode takes refs (k, d_e), a target
     (d_v,), a text (d_t,) and noise (steps, action_dim); N take each with a
     leading N axis. Step t's raw action is mean + exp(log_std) * noise[..., t, :].
-    Returns the per-step "states", "raws", "log_probs", "rewards" and "values"
-    as ([N,] steps, ...) arrays, and "initial_fused", "final_fused" and
-    "final_scores": floats and a ScoreTriple for one episode, (N,) arrays for N.
+    Returns the per-step "states", "raws", "means", "rewards" and "values" as
+    ([N,] steps, ...) arrays, the policy's clamped "log_std" (action_dim,), and
+    "initial_fused", "final_fused" and "final_scores": floats and a ScoreTriple
+    for one episode, (N,) arrays for N. It computes no log-probs: train takes
+    them in one action_log_prob pass over "raws", "means" and "log_std".
     """
     if policy.scenario != env.scenario:
         raise EpisodeError(f"{policy.scenario} policy in a {env.scenario} environment")
@@ -380,9 +411,8 @@ def run_episodes(env, policy: PolicyNetwork, refs, targets, F, noise):
     # step-major, then ([N,] steps, ...); np.stack costs 5x np.array on one episode
     eps = {k: np.ascontiguousarray(np.array([s[k] for s in per_step]).swapaxes(0, len(lead)))
            for k in per_step[0]}
-    # the policy is fixed for the rollout: one log-prob pass over every step
-    eps["log_probs"] = action_log_prob(policy, eps["raws"], eps.pop("means"), log_std)
-    return {**eps, "initial_fused": sc0, "final_fused": sc, "final_scores": scores}
+    return {**eps, "log_std": log_std, "initial_fused": sc0, "final_fused": sc,
+            "final_scores": scores}
 
 
 def train(spec: ExperimentSpec, corpus: Corpus | None = None, *,
@@ -431,8 +461,10 @@ def train(spec: ExperimentSpec, corpus: Corpus | None = None, *,
         streak = int(run[-1])
         picked.append(picks)
         scores.append(np.column_stack([t.sim, t.mos, t.intell, final]))
-        batch = RolloutBatch(*(
-            eps[k] for k in ("states", "raws", "log_probs", "rewards", "values")))
+        # the policy is fixed for the rollout: one log-prob pass over every step
+        log_probs = action_log_prob(policy, eps["raws"], eps["means"], eps["log_std"])
+        batch = RolloutBatch(eps["states"], eps["raws"], log_probs, eps["rewards"],
+                             eps["values"])
         try:  # after an overflowing update, values near 1e300 overflow here first
             with np.errstate(over="raise", invalid="raise"):
                 batch.compute_advantages(cfg.gamma, cfg.gae_lambda)

@@ -223,6 +223,21 @@ def test_config_validation_rejects(bad):
         RLConfig(**bad).validate()
 
 
+def test_config_rejects_an_action_scale_that_overflows_the_embedding():
+    """steps_ss moves of action_scale reach d_e * (steps_ss * action_scale)**2
+    in squared norm; above 1e300 that is a ValueError naming all three, also
+    where the product overflows a float or an int is too large for one."""
+    edge = math.sqrt(1e300 / 16) / 3
+    for cfg in (RLConfig(action_scale=1e300), RLConfig(action_scale=edge * 1.001),
+                RLConfig(action_scale=1.0, steps_ss=10 ** 400)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"action_scale={cfg.action_scale!r} is too large for "
+                f"steps_ss={cfg.steps_ss} moves at d_e=16: d_e * (steps_ss * "
+                f"action_scale)**2 must be at most 1e+300")):
+            cfg.validate()
+    RLConfig(action_scale=edge * 0.999).validate()
+
+
 def test_config_validation_names_a_negative_seed():
     with pytest.raises(ValueError, match="seed=-1"):
         RLConfig(seed=-1).validate()

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -892,3 +893,17 @@ def test_tradeoff_score_state_is_the_projection_formula_bitwise():
             want_fused = fuse_scores(ScoreTriple(*want), env.weights)  # of Python floats
             assert float(env.fused(np.zeros(2), e, p)).hex() == want_fused.hex(), (d, e)
         assert 50 <= past_tau <= 350, past_tau
+
+
+@pytest.mark.parametrize("kw,text", [
+    ({"sigma_star": math.nan}, "sigma_star must be finite and >= 0, got nan"),
+    ({"sigma_ref": -1.0}, "sigma_ref must be finite and >= 0, got -1.0"),
+    ({"sigma_star": math.inf}, "sigma_star must be finite and >= 0, got inf"),
+    ({"sigma_star": 1e160}, "sigma_star=1e+160 is too large at d_e=3"),
+])
+def test_voice_env_refuses_spreads_it_cannot_score(kw, text):
+    """A spread that is not finite and >= 0, or one at which squared norms
+    overflow, is a ValueError naming it; a NaN sigma_star used to build an
+    env whose first score failed as "mos score nan"."""
+    with pytest.raises(ValueError, match=re.escape(text)):
+        SyntheticVoiceEnv(d_e=3, d_t=2, **kw)

@@ -55,7 +55,7 @@ def _check(case, hashes, result):
             assert abs(got[int(s)] - x) <= 1e-12, (variant, s)
 
 
-@pytest.mark.parametrize("name", ["ss_ref", "oracle_lowdim"])
+@pytest.mark.parametrize("name", ["ss_ref", "oracle_lowdim", "finetune_oracle"])
 def test_golden_outputs(tmp_path, name):
     case = GOLDEN[name]
     corpus_path = tmp_path / "corpus.tsv"
@@ -68,9 +68,12 @@ def test_golden_outputs(tmp_path, name):
             hashes[out] = _sha(spec.run_dir / out)
         result = evaluate_checkpoint(spec.run_dir / "checkpoint.json", corpus_path, spec=spec)
         key = "evaluate_checkpoint_rows"
-    else:
+    elif name == "oracle_lowdim":
         result = evaluate(None, spec, corpus, variants=("raw",))
         key = "evaluate_raw_rows"
+    else:
+        result = evaluate(None, spec, corpus, variants=("finetune", "oracle"))
+        key = "evaluate_finetune_oracle_rows"
     write_rows(tmp_path / "rows.csv", result.rows)
     hashes[key] = _sha(tmp_path / "rows.csv")
     _check(case, hashes, result)

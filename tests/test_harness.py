@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import threading
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,8 +19,8 @@ import pytest
 
 import asrrl.harness as harness
 from asrrl import cli
-from asrrl.agent import (CheckpointError, PolicyNetwork, UpdateRejected, load_checkpoint,
-                         save_checkpoint, select_action)
+from asrrl.agent import (CheckpointError, PolicyNetwork, UpdateRejected, action_log_prob,
+                         load_checkpoint, save_checkpoint, select_action)
 from asrrl.core import RLConfig, StateLayout, mean_init
 from asrrl.env import SyntheticVoiceEnv, TradeoffEnv
 from asrrl.harness import (
@@ -101,6 +102,34 @@ def test_gen_corpus_rejects_seeds_that_are_not_nonnegative_integers(tmp_path):
             gen_corpus(seed, 2, 1, 2, 2, 1, tmp_path / "c.tsv")
     assert not (tmp_path / "c.tsv").exists()
     assert gen_corpus(np.int64(3), 2, 1, 2, 2, 1, tmp_path / "c.tsv").meta["seed"] == 3
+
+
+def test_gen_corpus_rejects_a_spread_past_the_float_range(tmp_path):
+    """(sigma_star² + sigma_ref²)·d_e above 1e300 is a ConfigError naming
+    sigma_ref and its value, before any file is written or refused; at
+    1e160 the environment used to raise OverflowError."""
+    path = tmp_path / "c.tsv"
+    edge = math.sqrt(1e300 / 3)
+    for sigma_ref in (1e160, edge * 1.001):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"sigma_ref={sigma_ref!r} is too large at d_e=3: (sigma_star**2 "
+                f"+ sigma_ref**2) * d_e must be at most 1e+300")):
+            gen_corpus(1, 6, 1, 3, 4, 1, path, sigma_ref=sigma_ref)
+    assert not path.exists()
+    gen_corpus(1, 6, 1, 3, 4, 1, path, sigma_ref=edge * 0.999)
+    with pytest.raises(ConfigError, match="sigma_ref=1e"):
+        gen_corpus(1, 6, 1, 3, 4, 1, path, sigma_ref=1e160)  # checked before the file
+
+
+@pytest.mark.parametrize("key", ["sigma_ref", "sigma_star"])
+def test_load_corpus_rejects_a_header_spread_past_the_float_range(tmp_path, corpus, key):
+    path = tmp_path / "c.tsv"
+    header, rest = path.read_text().split("\n", 1)
+    path.write_text(re.sub(f"{key}=\\S+", f"{key}=1e200", header) + "\n" + rest)
+    with pytest.raises(ConfigError) as exc:
+        load_corpus(path)
+    assert str(exc.value) == (f"{path}:1: header {key}=1e+200 is too large at d_e=4: "
+                              f"(sigma_star**2 + sigma_ref**2) * d_e must be at most 1e+300")
 
 
 def test_reference_spread_matches_chi_moment(tmp_path):
@@ -212,6 +241,66 @@ def test_load_corpus_names_line_and_field(tmp_path, corpus, edit, field):
         load_corpus(path)
 
 
+# A record's vector fields in the corpus fixture's shapes (d_e=4, k=1,
+# d_v=8, two texts of d_t=3), then {field index: replacement} with the full
+# ConfigError text after path:line. Each pins the parser's order: the first
+# bad vector in field order, and in a vector its count, then its numbers,
+# then their finiteness.
+GOOD_FIELDS = ["0.1,0.2,0.3,0.4", "0.5,0.6,0.7,0.8", ",".join(["0.25"] * 8), "1,2,3;4,5,6"]
+PARSER_PARITY = [
+    # two faults: the earlier field's vector wins, whatever the faults are
+    ({1: "0.5,x,0.7,0.8", 3: "1,2;4,5,6"}, "refs vector 0 is not numeric: '0.5,x,0.7,0.8'"),
+    ({0: "0.1,0.2,0.3,inf", 2: "0.25"}, "e_star vector 0 is not finite: '0.1,0.2,0.3,inf'"),
+    ({3: "1,2,3;4,5"}, "texts vector 1 has 2 values, header says 3"),
+    # compensating counts: one vector a value short, the next a value long
+    ({3: "1,2;3,4,5,6"}, "texts vector 0 has 2 values, header says 3"),
+    ({1: "0.5,0.6,0.7,0.8;0.9"}, "refs has 2 vectors, header says 1"),
+    # a trailing comma and an empty value
+    ({0: "0.1,0.2,0.3,0.4,"}, "e_star vector 0 has 5 values, header says 4"),
+    ({0: "0.1,,0.3,0.4"}, "e_star vector 0 is not numeric: '0.1,,0.3,0.4'"),
+    ({3: "1,2,3;"}, "texts vector 1 has 1 values, header says 3"),
+    # a non-numeric value after a non-finite one: in one vector the numbers
+    # are checked first, across vectors the earlier vector wins
+    ({3: "1,inf,x;4,5,6"}, "texts vector 0 is not numeric: '1,inf,x'"),
+    ({3: "1,nan,3;4,x,6"}, "texts vector 0 is not finite: '1,nan,3'"),
+    ({2: "0,0,0,0,0,0,0,-inf", 3: "1,x,3;4,5,6"},
+     "voiceprint vector 0 is not finite: '0,0,0,0,0,0,0,-inf'"),
+]
+
+
+def _write_record(path, fields):
+    """Replace the vector fields of the record on line 4 (speaker 2)."""
+    _corrupt(path, lambda f: f[:1] + fields)
+
+
+@pytest.mark.parametrize("edits,text", PARSER_PARITY)
+def test_load_corpus_error_text_names_the_first_bad_vector(tmp_path, corpus, edits, text):
+    path = tmp_path / "c.tsv"
+    fields = list(GOOD_FIELDS)
+    _write_record(path, fields)
+    load_corpus(path)
+    for i, value in edits.items():
+        fields[i] = value
+    _write_record(path, fields)
+    with pytest.raises(ConfigError) as exc:
+        load_corpus(path)
+    assert str(exc.value) == f"{path}:4: {text}"
+
+
+def test_load_corpus_parses_values_as_float_does(tmp_path, corpus):
+    """Every spelling float() accepts loads with float()'s bits."""
+    path = tmp_path / "c.tsv"
+    fields = ["1_0, 1.0,1E-3,-0.0", "2.5e-3 ,1_000.5,+7,.5",
+              ",".join(["1e-320"] * 7 + ["-3.25E+2"]), "1,2,3;4,5,6"]
+    _write_record(path, fields)
+    c = load_corpus(path)
+    got = [c.profiles[2].true_embedding, c.profiles[2].refs[0],
+           c.profiles[2].target_voiceprint, c.texts[2].ravel()]
+    for g, field in zip(got, fields):
+        want = np.array([float(x) for x in field.replace(";", ",").split(",")])
+        assert g.tobytes() == want.tobytes(), field
+
+
 def test_split_takes_tail_for_eval(corpus):
     train_idx, eval_idx = corpus.split(0.25)
     assert train_idx == [0, 1, 2, 3, 4, 5] and eval_idx == [6, 7]
@@ -293,40 +382,49 @@ def test_run_episode_scores_each_state_once(corpus, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1, 86])
-def test_run_episodes_takes_one_log_prob_pass(corpus, monkeypatch, n):
-    """One action_log_prob call per run_episodes call, over the stacked
-    ([N,] steps, action_dim) arrays; step t's log-probs keep the bits of a
-    per-step call on that step's rows."""
-    spec = _tiny_spec(None, corpus)
+def test_train_takes_one_log_prob_pass_per_iteration(tmp_path, corpus, monkeypatch, n):
+    """run_episode and run_episodes compute no log-probs. train makes one
+    action_log_prob call per iteration, over the stacked (episodes, steps,
+    action_dim) arrays; step t's log-probs keep the bits of a per-step call
+    on that step's rows."""
+    spec = _tiny_spec(tmp_path, corpus, rollout_batch=3 * n)
     env, profiles, texts = build_env(spec, corpus)
     policy = PolicyNetwork(env.layout, "ss", k=1, hidden=8,
                            rng=substream(0, "policy-init"))
-    policy.params["mean.W"] *= 100.0
-    calls = []
-    real = harness.action_log_prob
+    calls, batches = [], []
+    real, update = harness.action_log_prob, harness.ppo_update
     monkeypatch.setattr(harness, "action_log_prob",
                         lambda p, raw, *a: calls.append(raw.shape) or real(p, raw, *a))
+    monkeypatch.setattr(harness, "ppo_update", lambda p, batch, *rest: (
+        batches.append((batch, p.flat.copy())) or update(p, batch, *rest)))
     steps, dim = spec.step_budget, policy.action_dim
-    if n == 1:
-        eps = harness.run_episode(env, policy, profiles[0], texts[0][0],
-                                  rng=substream(0, "rollout"))
-        states, raws = eps["states"][None], eps["raws"][None]
-        lead = ()
-    else:
-        picks = substream(1, "picks").integers(len(profiles), size=n)
-        eps = harness.run_episodes(
-            env, policy, np.stack([profiles[i].refs for i in picks]),
-            np.stack([profiles[i].target_voiceprint for i in picks]),
-            np.stack([texts[i][0] for i in picks]),
-            substream(1, "noise").standard_normal((n, steps, dim)))
-        states, raws = eps["states"], eps["raws"]
-        lead = (n,)
-    assert calls == [lead + (steps, dim)]
-    log_probs = eps["log_probs"].reshape(-1, steps)
-    for t in range(steps):
-        mean, log_std, _, _ = policy.forward(states[:, t])
-        want = real(policy, raws[:, t], mean, log_std)
-        assert log_probs[:, t].tobytes() == want.tobytes(), t
+    eps = harness.run_episode(env, policy, profiles[0], texts[0][0],
+                              rng=substream(0, "rollout"))
+    assert eps["means"].shape == eps["raws"].shape == (steps, dim)
+    picks = substream(1, "picks").integers(len(profiles), size=n)
+    eps = harness.run_episodes(
+        env, policy, np.stack([profiles[i].refs for i in picks]),
+        np.stack([profiles[i].target_voiceprint for i in picks]),
+        np.stack([texts[i][0] for i in picks]),
+        substream(1, "noise").standard_normal((n, steps, dim)))
+    assert eps["means"].shape == (n, steps, dim) and eps["log_std"].shape == (dim,)
+    assert calls == []
+    policy, _ = train(spec, corpus, write_outputs=False)
+    assert calls == [(n, steps, dim)] * spec.config.train_iters == [(n, steps, dim)] * 2
+    for batch, flat in batches:
+        policy.flat[:] = flat
+        for t in range(steps):
+            mean, log_std, _, _ = policy.forward(batch.states[:, t])
+            want = real(policy, batch.raw_actions[:, t], mean, log_std)
+            assert batch.log_probs[:, t].tobytes() == want.tobytes(), t
+
+
+def _with_log_probs(policy, ep):
+    """An episode of run_episode(s) with "log_probs" in place of "means" and
+    "log_std": the one action_log_prob pass that train makes."""
+    ep = dict(ep)
+    ep["log_probs"] = action_log_prob(policy, ep["raws"], ep.pop("means"), ep.pop("log_std"))
+    return ep
 
 
 def _lockstep_case(case):
@@ -390,7 +488,8 @@ def test_run_episode_equals_the_reset_step_protocol_bitwise(case, mode):
     rewards = []
     for i, profile in enumerate(profiles):
         rngs = [substream(i, "noise"), substream(i, "noise")]
-        got = harness.run_episode(env, policy, profile, F[i], rng=rngs[0], mode=mode)
+        got = _with_log_probs(policy, harness.run_episode(env, policy, profile, F[i],
+                                                          rng=rngs[0], mode=mode))
         want = _protocol_episode(env, policy, profile, F[i], rng=rngs[1], mode=mode)
         assert got.keys() == want.keys()
         for key, w in want.items():
@@ -415,11 +514,11 @@ def test_run_episodes_match_run_episode(case):
                       for i in range(len(profiles))])
     refs = np.stack([p.refs for p in profiles])
     targets = np.stack([p.target_voiceprint for p in profiles])
-    eps = harness.run_episodes(env, policy, refs, targets, F, noise)
+    eps = _with_log_probs(policy, harness.run_episodes(env, policy, refs, targets, F, noise))
     assert eps["states"].shape == (len(profiles), env.step_budget, env.layout.size)
     for i, profile in enumerate(profiles):
-        ep = harness.run_episode(env, policy, profile, F[i],
-                                 rng=substream(i, "noise"))
+        ep = _with_log_probs(policy, harness.run_episode(env, policy, profile, F[i],
+                                                         rng=substream(i, "noise")))
         for key in ("states", "raws", "log_probs", "rewards", "values"):
             np.testing.assert_allclose(eps[key][i], ep[key], rtol=0, atol=1e-12)
         for key in ("initial_fused", "final_fused"):
@@ -475,8 +574,8 @@ def test_train_draws_match_one_at_a_time_play(tmp_path, corpus, monkeypatch):
         played = []
         for i, row in enumerate(rows[it * n:(it + 1) * n]):
             si = train_idx[speakers[i]]
-            ep = harness.run_episode(env, policy, profiles[si], texts[si][text_idx[i]],
-                                     rng=NoiseBlock(noise[i]))
+            ep = _with_log_probs(policy, harness.run_episode(
+                env, policy, profiles[si], texts[si][text_idx[i]], rng=NoiseBlock(noise[i])))
             assert row["speaker"] == profiles[si].speaker_id
             assert abs(row["fused"] - ep["final_fused"]) <= 1e-12
             played.append(ep)
@@ -1258,6 +1357,46 @@ def test_cli_finetune_baseline_scores_every_eval_row(tmp_path, capsys):
         cli.main(["baseline", "--method", "finetune", "--corpus", str(corpus_path),
                   "--ft-steps", "10"])
     assert exc.value.code == 2
+
+
+def test_cli_spreads_and_action_scales_past_the_float_range_exit_2(tmp_path, capsys):
+    """A corpus spread or an action_scale at which squared norms overflow is
+    a config error (2) with one stderr line naming it, no RuntimeWarning
+    and no output; gen-data used to end in an OverflowError, and train and
+    sweep in overflow warnings."""
+    corpus_path, out = tmp_path / "c.tsv", tmp_path / "runs"
+
+    def exits_2(argv, *names):
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and all(n in err for n in names), err
+
+    gen = ["gen-data", "--seed", "1", "--speakers", "6", "--refs", "1",
+           "--dim-e", "3", "--dim-t", "4", "--out", str(corpus_path)]
+    exits_2(gen + ["--sigma-ref", "1e160"], "sigma_ref=1e+160", "d_e=3")
+    assert not corpus_path.exists()
+    assert _cli(*gen) == 0
+    good = corpus_path.read_text()
+    bad = tmp_path / "bad.tsv"
+    for key in ("sigma_ref", "sigma_star"):
+        header, rest = good.split("\n", 1)
+        bad.write_text(re.sub(f"{key}=\\S+", f"{key}=1e200", header) + "\n" + rest)
+        for cmd in (["train"], ["baseline", "--method", "raw"]):
+            exits_2(cmd + ["--corpus", str(bad), "--out", str(out)],
+                    f"bad.tsv:1: header {key}=1e+200")
+    cfg_path = tmp_path / "cfg"
+    cfg_path.write_text("train_iters=1\nrollout_batch=8\nhidden=4\naction_scale=1e300\n")
+    exits_2(["train", "--corpus", str(corpus_path), "--config", str(cfg_path),
+             "--out", str(out)], "action_scale=1e+300", "steps_ss=3", "d_e=")
+    exits_2(["sweep", "--corpus", str(corpus_path), "--axis", "action_scale",
+             "--values", "1e308", "--out", str(out)],
+            "action_scale=1e+308", "steps_ss=3", "d_e=3")
+    assert not out.exists()
 
 
 def test_cli_exit_codes(tmp_path, capsys):
