@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -394,10 +394,10 @@ def _rng_from_hex(hex_state: str) -> np.random.Generator | None:
 def save_checkpoint(policy: PolicyNetwork, path, *, config: RLConfig,
                     step: int = 0, rng: np.random.Generator | None = None) -> None:
     """Write a single JSON checkpoint with exact float64 round-trip; a
-    failed write leaves the previous file at path untouched."""
-    # each field as its declared type: json refuses numpy integers and float32
-    plain = {"int": int, "float": float, "str": str}
-    cfg = {f.name: plain[f.type](getattr(config, f.name)) for f in fields(config)}
+    failed write leaves the previous file at path untouched. An invalid
+    config raises ValueError before anything is written."""
+    # validate() turns numpy numbers, which json refuses, into the declared Python types
+    cfg = asdict(config.validate())
     cfg["scenario"] = policy.scenario
     cfg["layout"] = asdict(policy.layout)
     doc = {
@@ -449,7 +449,7 @@ def load_checkpoint(path) -> tuple[PolicyNetwork, RLConfig, int, np.random.Gener
             layout, scenario, k=config.k, hidden=config.hidden,
             encoder=config.encoder, rng=np.random.default_rng(0),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"corrupt checkpoint config: {exc!r}") from exc
     for name, arr in policy.params.items():
         if name not in doc["params"]:

@@ -48,11 +48,9 @@ def _spec_from_args(args, corpus) -> ExperimentSpec:
     """The corpus fixes the dimensions and the scenario: SS for one
     reference per speaker, FS for several."""
     m = corpus.meta
-    cfg = parse_config_file(args.config) if args.config else RLConfig()
-    cfg = cfg.with_overrides(
-        d_e=m["d_e"], d_t=m["d_t"], k=m["k"],
-        **({"seed": args.seed} if args.seed is not None else {}),
-    )
+    fixed = {"d_e": m["d_e"], "d_t": m["d_t"], "k": m["k"],
+             **({"seed": args.seed} if args.seed is not None else {})}
+    cfg = parse_config_file(args.config, **fixed) if args.config else RLConfig(**fixed).validate()
     return ExperimentSpec(config=cfg, scenario="ss" if m["k"] == 1 else "fs",
                           run_id=args.run_id, out_dir=Path(args.out))
 

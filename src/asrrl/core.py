@@ -223,15 +223,19 @@ class RLConfig:
     seed: int = 0
 
     def validate(self) -> "RLConfig":
-        # each field's type: numpy's integers are ints, any real a float, a bool neither
-        kinds = {"int": numbers.Integral, "float": numbers.Real, "str": str}
-        bad = [f"{f.name}={getattr(self, f.name)!r} (need {f.type})" for f in fields(self)
-               if isinstance(getattr(self, f.name), bool)
-               or not isinstance(getattr(self, f.name), kinds[f.type])]
+        """Type-check, convert each setting to its declared type, range-check; returns self."""
+        # numpy's integers are ints, any real a float, a bool neither
+        kinds = {int: numbers.Integral, float: numbers.Real, str: str}
+        bad = [f"{name}={getattr(self, name)!r} (need {kind.__name__})"
+               for name, kind in SETTING_TYPES.items()
+               if isinstance(getattr(self, name), bool)
+               or not isinstance(getattr(self, name), kinds[kind])]
         if bad:
             raise ValueError(f"settings of the wrong type: {', '.join(bad)}")
-        bad = [f"{f.name}={getattr(self, f.name)}" for f in fields(self)
-               if f.type == "float" and not math.isfinite(getattr(self, f.name))]
+        for name, kind in SETTING_TYPES.items():
+            setattr(self, name, kind(getattr(self, name)))
+        bad = [f"{name}={getattr(self, name)}" for name, kind in SETTING_TYPES.items()
+               if kind is float and not math.isfinite(getattr(self, name))]
         if bad:
             raise ValueError(f"settings must be finite, got {', '.join(bad)}")
         if not (0.0 <= self.gamma <= 1.0):
@@ -272,3 +276,7 @@ class RLConfig:
     def with_overrides(self, **kwargs) -> "RLConfig":
         return replace(self, **kwargs).validate()
 
+
+# each setting's Python type, as RLConfig declares it
+SETTING_TYPES = {f.name: {"int": int, "float": float, "str": str}[f.type]
+                 for f in fields(RLConfig)}

@@ -255,14 +255,13 @@ class SyntheticVoiceEnv(_EnvBase):
         super().__init__(layout, scenario, step_budget, action_scale, weights)
         self.d_e, self.d_t, self.d_s, self.d_v = d_e, d_t, d_s, d_v
         self.seed = int(seed)
-        self.check_spreads(d_e, sigma_star, sigma_ref)
-        self.sigma_star = float(sigma_star)
-        self.sigma_ref = float(sigma_ref)
+        self.sigma_star, self.sigma_ref = float(sigma_star), float(sigma_ref)
+        self.check_spreads(d_e, self.sigma_star, self.sigma_ref)
         # the quality/intelligibility shell sits at 1.5x the expected
         # reference norm: references score well, runaway norms do not,
         # and the hidden optimum lies safely inside
         ref_norm = math.sqrt(self.MU_NORM ** 2
-                             + (sigma_star ** 2 + sigma_ref ** 2) * d_e)
+                             + (self.sigma_star ** 2 + self.sigma_ref ** 2) * d_e)
         self.r_shell = 1.5 * ref_norm
         # small text/bias pathways keep tanh in its linear regime, so the
         # voiceprint angle responds to embedding moves at the default
@@ -467,19 +466,20 @@ def oracle_best(env: _EnvBase, profile: SpeakerProfile, f_t: np.ndarray,
                 ) -> tuple[np.ndarray, float]:
     """Exhaustive argmax of the fused score over a regular grid.
 
-    grid_spec is (lo, hi, points) applied to every embedding dimension,
-    or one such triple per dimension. Ties resolve to the
-    lexicographically smallest embedding (first in enumeration order),
-    whatever the block size; a grid scored -inf or NaN everywhere gives
+    grid_spec is (lo, hi, points) applied to every embedding dimension, or
+    one such triple per dimension. Equal scores go to the lexicographically
+    smallest embedding (first in enumeration order) whatever the block size,
+    but a row's score can move by an ulp with the row count of its BLAS
+    call: near-ties (about 1e-15 apart) may resolve otherwise under another
+    ORACLE_BLOCK_ROWS. A grid scored -inf or NaN everywhere gives
     (None, -inf). Each CPU the process may run on searches one contiguous
-    run of blocks (the calling thread and helper threads), in the same
-    bytes as on one; plug-in scorers score on the calling thread alone.
-    An error, KeyboardInterrupt included, is raised once every run has
-    ended, and it is the first in grid order, the one a serial loop
-    raises. Each dimension needs finite lo <= hi and an integral
-    points >= 1; ValueError names the first that has not, and a grid of
-    more than MAX_GRID_POINTS points raises ValueError before anything
-    is allocated.
+    run of blocks (the calling thread and helper threads), in the same bytes
+    as on one; plug-in scorers score on the calling thread alone. An error,
+    KeyboardInterrupt included, is raised once every run has ended, and it
+    is the first in grid order, the one a serial loop raises. Each dimension
+    needs finite lo <= hi and an integral points >= 1; ValueError names the
+    first that has not, and a grid of more than MAX_GRID_POINTS points
+    raises ValueError before anything is allocated.
     """
     d_e = profile.true_embedding.shape[0]
     if isinstance(grid_spec, tuple):

@@ -27,7 +27,7 @@ from .agent import (
     save_checkpoint,
     select_action,  # not called here: perfbench's tracer wraps harness.select_action
 )
-from .core import RLConfig, StateLayout, mean_init
+from .core import SETTING_TYPES, RLConfig, StateLayout, mean_init
 from .env import (EpisodeError, SpeakerProfile, SyntheticVoiceEnv, TradeoffEnv,
                   oracle_zoom)
 from .files import replace_on_success
@@ -160,19 +160,16 @@ def gen_corpus(seed: int, n_speakers: int, k_refs: int, d_e: int, d_t: int,
     rng = substream(seed, "corpus")
     meta = {
         "d_e": d_e, "d_t": d_t, "d_v": env.d_v, "d_s": env.d_s, "k": k_refs,
-        "seed": int(seed), "n_speakers": n_speakers,
+        "seed": seed, "n_speakers": n_speakers,
         "texts_per_speaker": texts_per_speaker,
         "sigma_ref": sigma_ref, "sigma_star": env.sigma_star,
     }
+    meta = {key: kind(meta[key]) for key, kind in CORPUS_META_KEYS.items()}
     profiles, texts = [], []
     for i in range(n_speakers):
         profiles.append(env.make_profile(i, rng, k=k_refs))
         texts.append(rng.standard_normal((texts_per_speaker, d_t)))
-    header = " ".join(
-        [CORPUS_MAGIC, CORPUS_VERSION]
-        + [f"{k}={meta[k]!r}" if isinstance(meta[k], float) else f"{k}={meta[k]}"
-           for k in CORPUS_META_KEYS]
-    )
+    header = " ".join([CORPUS_MAGIC, CORPUS_VERSION] + [f"{k}={v!r}" for k, v in meta.items()])
     with replace_on_success(path, newline="\n") as fh:
         fh.write(header + "\n")
         for p, t in zip(profiles, texts):
@@ -260,6 +257,7 @@ TRADEOFF_TAU = 0.2
 TRADEOFF_SPEAKERS = 20
 TRADEOFF_TEXTS = 4
 EVAL_EPISODES = 100  # rl episodes per evaluated speaker
+FINETUNE_STEP_SIZE = 0.01  # finetune_proxy's gradient-ascent step
 
 
 @dataclass
@@ -603,8 +601,7 @@ def evaluate_checkpoint(checkpoint_path, corpus_path, *, split: str = "eval",
 
 # -- fine-tune proxy baseline ----------------------------------------------
 
-def finetune_proxy(env, profile, f_t, *, steps: int = 2000,
-                   step_size: float = 0.01):
+def finetune_proxy(env, profile, f_t, *, steps: int = 2000):
     """Gradient ascent on the fused score w.r.t. the embedding.
 
     Central finite differences with step h = 1e-4 stand in for
@@ -614,8 +611,6 @@ def finetune_proxy(env, profile, f_t, *, steps: int = 2000,
     """
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
-    if not (math.isfinite(step_size) and step_size >= 0):
-        raise ConfigError(f"step_size must be finite and >= 0, got {step_size}")
     h = 1e-4
     e = mean_init(profile.refs)
     d = e.shape[0]
@@ -629,7 +624,7 @@ def finetune_proxy(env, profile, f_t, *, steps: int = 2000,
         if not np.isfinite(grad).all():
             raise FloatingPointError("non-finite fused-score gradient at "
                                      f"coordinate {np.argmin(np.isfinite(grad))}")
-        e = e + step_size * grad
+        e = e + FINETUNE_STEP_SIZE * grad
     sc = float(env.fused_batch(f_t, e[None], profile)[0])
     if sc > best_sc:
         best_sc, best_e = sc, e
@@ -739,12 +734,10 @@ def write_rows(path, rows: list[dict], columns: list[str] | None = None) -> None
 
 # -- flat config files -----------------------------------------------------
 
-def parse_config_file(path) -> RLConfig:
+def parse_config_file(path, **fixed) -> RLConfig:
     """Flat key=value config with # comments; every RLConfig field but the
-    corpus's d_e, d_t and k works, once."""
-    import dataclasses
-
-    fields = {f.name: f.type for f in dataclasses.fields(RLConfig)}
+    corpus's d_e, d_t and k works, once. fixed (those three, a --seed) is
+    laid over the file's settings before the one validation."""
     overrides = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -753,20 +746,20 @@ def parse_config_file(path) -> RLConfig:
                 continue
             key, sep, val = line.partition("=")
             key, val = key.strip(), val.strip()
-            if not sep or key not in fields:
+            if not sep or key not in SETTING_TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown or malformed entry {raw.strip()!r}")
             if key in ("d_e", "d_t", "k"):
                 raise ConfigError(f"{path}:{lineno}: {key} cannot be set here; "
                                   f"the corpus sets it")
             if key in overrides:
                 raise ConfigError(f"{path}:{lineno}: key {key!r} repeated")
-            kind = str if key == "encoder" else int if fields[key] in ("int", int) else float
+            kind = SETTING_TYPES[key]
             try:
                 overrides[key] = kind(val)
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: {key} must be {kind.__name__}, "
                                   f"got {val!r}") from None
     try:
-        return RLConfig().with_overrides(**overrides)
+        return RLConfig(**{**overrides, **fixed}).validate()
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc

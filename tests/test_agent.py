@@ -566,6 +566,15 @@ def test_numpy_config_values_save_as_their_declared_types(tmp_path):
     assert cfg.learning_rate == float(np.float32(3e-4)) != 3e-4
 
 
+def test_save_checkpoint_refuses_an_invalid_config(tmp_path):
+    """An invalid config raises ValueError before anything is written; it
+    used to give a file that load_checkpoint refuses."""
+    path = tmp_path / "ck.json"
+    with pytest.raises(ValueError, match="gamma must be in"):
+        save_checkpoint(_policy("ss"), path, config=RLConfig(d_e=2, d_t=2, gamma=2.0))
+    assert not path.exists()
+
+
 def test_checkpoint_truncated_file_reports_offset(tmp_path):
     policy = _policy("ss")
     path = tmp_path / "ck.json"
@@ -669,6 +678,9 @@ def _rng_edit(state):
                  "shape", id="param-without-shape"),
     pytest.param(lambda doc: {**doc, "config": {**doc["config"], "gamma": 7.0}},
                  "gamma", id="invalid-config-value"),
+    # a JSON integer past float64's range used to escape as an OverflowError
+    pytest.param(lambda doc: {**doc, "config": {**doc["config"], "gamma": 10**400}},
+                 "int too large", id="config-int-past-float-range"),
     pytest.param(lambda doc: {**doc, "params": 5}, "params", id="params-not-object"),
     pytest.param(lambda doc: {**doc, "step": "many"}, "step", id="bad-step"),
     # step is a JSON integer >= 0 and rng a string ("" for none), never coerced

@@ -274,6 +274,16 @@ def test_config_settings_of_the_wrong_type_are_refused():
         RLConfig(encoder=3).validate()
 
 
+def test_validate_gives_each_setting_its_declared_python_type():
+    """validate() converts in place before its range checks: a float32
+    action_scale used to meet the 1e300 bound in float32, an overflow
+    warning."""
+    cfg = RLConfig(action_scale=np.float32(1e-3), seed=np.int64(2), gamma=1)
+    assert cfg.validate() is cfg
+    assert type(cfg.action_scale) is float and cfg.action_scale == float(np.float32(1e-3))
+    assert type(cfg.seed) is int and type(cfg.gamma) is float
+
+
 @pytest.mark.parametrize("lambdas", [(math.nan, 0.1), (0.5, math.inf), (-1.0, 0.1)])
 def test_reward_weights_reject_nonfinite_or_negative(lambdas):
     with pytest.raises(ValueError, match="lambda1"):

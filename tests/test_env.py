@@ -264,6 +264,15 @@ def test_score_rows_zero_norm_targets_score_one_half_without_warnings():
     assert np.delete(mixed.sim, 2).tobytes() == np.delete(plain.sim, 2).tobytes()
 
 
+def test_voice_env_holds_numpy_spreads_as_floats():
+    """A float32 spread used to meet the 1e300 bound in float32, an
+    overflow warning."""
+    env = SyntheticVoiceEnv(3, 3, sigma_ref=np.float32(0.05))
+    plain = SyntheticVoiceEnv(3, 3, sigma_ref=float(np.float32(0.05)))
+    assert type(env.sigma_ref) is float and env.sigma_ref == plain.sigma_ref
+    assert env.r_shell == plain.r_shell
+
+
 def test_make_profile_counts_and_spread():
     env = _env(seed=1)
     rng = substream(1, "corpus")

@@ -5,9 +5,11 @@ On the machine that wrote the file (the same numpy version, OpenBLAS
 configuration string, `platform.machine()` and numpy CPU features), every
 sha256 prefix must match. Elsewhere BLAS and numpy may run other kernels,
 which round differently, so there the test compares the stored
-per-speaker mean fused scores to 1e-12 instead of the hashes.
+per-speaker (per-cell for the study commands) mean fused scores to 1e-12
+instead of the hashes.
 """
 
+import csv
 import hashlib
 import json
 import platform
@@ -16,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from asrrl import cli
 from asrrl.core import RLConfig
 from asrrl.harness import (ExperimentSpec, evaluate, evaluate_checkpoint, gen_corpus,
                            train, write_rows)
@@ -77,3 +80,34 @@ def test_golden_outputs(tmp_path, name):
     write_rows(tmp_path / "rows.csv", result.rows)
     hashes[key] = _sha(tmp_path / "rows.csv")
     _check(case, hashes, result)
+
+
+def _cell_means(path) -> dict[str, float]:
+    """Mean fused score per "cell/variant" of a sweep or ablate CSV, a cell
+    being the swept value or the ablation name."""
+    fused: dict[str, list[float]] = {}
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            cell = row["ablation"] if "ablation" in row else row["value"]
+            fused.setdefault(f"{cell}/{row['variant']}", []).append(float(row["fused"]))
+    return {key: sum(xs) / len(xs) for key, xs in fused.items()}
+
+
+def test_golden_studies(tmp_path):
+    """The sweep and ablate commands end to end through cli.run, which
+    reads the config file and lays the corpus's dimensions over it."""
+    case = GOLDEN["studies"]
+    corpus_path, cfg_path = tmp_path / "corpus.tsv", tmp_path / "config.txt"
+    gen_corpus(**case["corpus"], path=corpus_path)
+    cfg_path.write_text("".join(f"{k}={v}\n" for k, v in case["config"].items()))
+    for argv in case["commands"]:
+        assert cli.run(argv + ["--corpus", str(corpus_path), "--config", str(cfg_path),
+                               "--out", str(tmp_path), "--run-id", case["run_id"]]) == 0
+    run_dir = tmp_path / case["run_id"]
+    if _machine() == GOLDEN["machine"]:
+        assert {out: _sha(run_dir / out) for out in case["sha256"]} == case["sha256"]
+    for out, want in case["per_cell_fused"].items():
+        got = _cell_means(run_dir / out)
+        assert sorted(got) == sorted(want), out
+        for key, x in want.items():
+            assert abs(got[key] - x) <= 1e-12, (out, key)

@@ -104,6 +104,16 @@ def test_gen_corpus_rejects_seeds_that_are_not_nonnegative_integers(tmp_path):
     assert gen_corpus(np.int64(3), 2, 1, 2, 2, 1, tmp_path / "c.tsv").meta["seed"] == 3
 
 
+def test_gen_corpus_writes_numpy_numbers_as_python_ones(tmp_path):
+    """A np.float64 spread used to be written as sigma_ref=np.float64(0.05),
+    a header load_corpus refuses."""
+    want = gen_corpus(1, 3, 1, 2, 2, 1, tmp_path / "py.tsv", sigma_ref=0.05)
+    gen_corpus(np.int64(1), np.int64(3), 1, np.int64(2), 2, 1, tmp_path / "np.tsv",
+               sigma_ref=np.float64(0.05))
+    assert (tmp_path / "np.tsv").read_bytes() == (tmp_path / "py.tsv").read_bytes()
+    assert load_corpus(tmp_path / "np.tsv").meta == want.meta
+
+
 def test_gen_corpus_rejects_a_spread_past_the_float_range(tmp_path):
     """(sigma_star² + sigma_ref²)·d_e above 1e300 is a ConfigError naming
     sigma_ref and its value, before any file is written or refused; at
@@ -998,16 +1008,6 @@ def test_evaluate_checkpoint_plays_the_checkpoint_layout(tmp_path, flags):
 
 # -- fine-tune proxy -------------------------------------------------------
 
-def test_finetune_zero_step_size_is_identity(tmp_path, corpus):
-    spec = _tiny_spec(tmp_path, corpus)
-    env, profiles, texts = build_env(spec, corpus)
-    e, sc = finetune_proxy(env, profiles[0], texts[0][0], steps=5,
-                           step_size=0.0)
-    np.testing.assert_array_equal(e, profiles[0].refs[0])
-    assert sc == pytest.approx(env.fused(texts[0][0], profiles[0].refs[0],
-                                         profiles[0]))
-
-
 def test_finetune_nonfinite_gradient_names_coordinate(tmp_path, corpus):
     spec = _tiny_spec(tmp_path, corpus)
     env, profiles, texts = build_env(spec, corpus)
@@ -1074,11 +1074,6 @@ def test_finetune_validates_steps(tmp_path, corpus):
     env, profiles, texts = build_env(spec, corpus)
     with pytest.raises(ConfigError):
         finetune_proxy(env, profiles[0], texts[0][0], steps=0)
-    # a step size that is not finite and >= 0 would score NaN or descend
-    for step_size in (math.nan, math.inf, -math.inf, -0.01):
-        with pytest.raises(ConfigError, match="step_size"):
-            finetune_proxy(env, profiles[0], texts[0][0], steps=5,
-                           step_size=step_size)
 
 
 # -- sweeps and ablations --------------------------------------------------
@@ -1392,11 +1387,31 @@ def test_cli_spreads_and_action_scales_past_the_float_range_exit_2(tmp_path, cap
     cfg_path = tmp_path / "cfg"
     cfg_path.write_text("train_iters=1\nrollout_batch=8\nhidden=4\naction_scale=1e300\n")
     exits_2(["train", "--corpus", str(corpus_path), "--config", str(cfg_path),
-             "--out", str(out)], "action_scale=1e+300", "steps_ss=3", "d_e=")
+             "--out", str(out)], "action_scale=1e+300", "steps_ss=3", "d_e=3")
     exits_2(["sweep", "--corpus", str(corpus_path), "--axis", "action_scale",
              "--values", "1e308", "--out", str(out)],
             "action_scale=1e+308", "steps_ss=3", "d_e=3")
     assert not out.exists()
+
+
+def test_cli_config_file_is_checked_at_the_corpus_d_e(tmp_path, capsys):
+    """A config file is validated once, with the corpus's d_e: on a d_e=3
+    corpus, 3 * (3e149)**2 is within the 1e300 bound, and it used to be
+    refused at the default d_e=16."""
+    corpus_path, cfg_path = tmp_path / "c.tsv", tmp_path / "cfg"
+    assert _cli("gen-data", "--seed", "1", "--speakers", "6", "--refs", "1",
+                "--dim-e", "3", "--dim-t", "4", "--out", str(corpus_path)) == 0
+    train = ["train", "--corpus", str(corpus_path), "--config", str(cfg_path),
+             "--out", str(tmp_path / "runs")]
+    cfg_path.write_text("train_iters=1\nrollout_batch=8\nhidden=4\naction_scale=1e149\n")
+    assert _cli(*train) == 0
+    cfg_path.write_text("train_iters=1\nrollout_batch=8\nhidden=4\naction_scale=3e149\n")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(train)
+    assert exc.value.code == 2
+    assert "action_scale=3e+149 is too large for steps_ss=3 moves at d_e=3:" in \
+        capsys.readouterr().err
 
 
 def test_cli_exit_codes(tmp_path, capsys):
