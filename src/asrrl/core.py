@@ -233,7 +233,11 @@ class RLConfig:
         if bad:
             raise ValueError(f"settings of the wrong type: {', '.join(bad)}")
         for name, kind in SETTING_TYPES.items():
-            setattr(self, name, kind(getattr(self, name)))
+            try:
+                setattr(self, name, kind(getattr(self, name)))
+            except OverflowError:  # an integer past float64's range
+                raise ValueError(f"settings must be finite, got {name} past "
+                                 f"float64's range") from None
         bad = [f"{name}={getattr(self, name)}" for name, kind in SETTING_TYPES.items()
                if kind is float and not math.isfinite(getattr(self, name))]
         if bad:

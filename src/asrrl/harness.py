@@ -256,7 +256,7 @@ def load_corpus(path) -> Corpus:
 TRADEOFF_TAU = 0.2
 TRADEOFF_SPEAKERS = 20
 TRADEOFF_TEXTS = 4
-EVAL_EPISODES = 100  # rl episodes per evaluated speaker
+EVAL_EPISODES = 100  # rl rows per evaluated speaker
 FINETUNE_STEP_SIZE = 0.01  # finetune_proxy's gradient-ascent step
 
 
@@ -513,6 +513,8 @@ class EvalResult:
         return float(np.mean(vals))
 
     def summary(self) -> list[dict]:
+        """Per variant: the row count n and each score's mean and std; rl's
+        n and std count evaluate's copied rows as separate episodes."""
         out = []
         for variant in self.variants():
             sel = [r for r in self.rows if r["variant"] == variant]
@@ -530,9 +532,11 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
              variants: tuple[str, ...] = ("rl", "raw")) -> EvalResult:
     """Mode-action evaluation on split_speakers' "eval" or "train" split.
 
-    The rl variant plays EVAL_EPISODES episodes per speaker, episode
-    i on text i % n_texts, in one lockstep run_episodes call with zero
-    noise; its rows are within about 1e-16 of one-at-a-time play. Each
+    The rl variant writes EVAL_EPISODES rows per speaker, episode i on
+    text i % n_texts. Zero-noise play is deterministic, so each of the
+    speaker's m = min(n_texts, EVAL_EPISODES) distinct texts is played
+    once, in one lockstep run_episodes call, and episode i copies row
+    i % m; the rows are within about 1e-16 of one-at-a-time play. Each
     baseline scores one embedding per (speaker, text): raw the mean of
     the references, finetune finetune_proxy's best, oracle the grid
     oracle's (oracle_best refuses grids too large for d_e). A text's
@@ -563,20 +567,25 @@ def evaluate(policy: PolicyNetwork, spec: ExperimentSpec,
     rows = []
     for si in idx:
         profile, spk_texts = profiles[si], texts[si]
-        if "rl" in variants:  # n episodes in lockstep, zero noise, episode i on text i % n_texts
-            eps = run_episodes(env, policy, np.repeat(profile.refs[None], n, 0),
-                               profile.target_voiceprint, np.resize(spk_texts, (n, cfg.d_t)),
-                               np.zeros((n, spec.step_budget, policy.action_dim)))
+        if "rl" in variants:
+            # zero-noise play is deterministic: each of the m distinct texts is
+            # played once in lockstep, and episode i copies text i % m's row
+            m = min(len(spk_texts), n)
+            eps = run_episodes(env, policy, np.repeat(profile.refs[None], m, 0),
+                               profile.target_voiceprint, spk_texts[:m],
+                               np.zeros((m, spec.step_budget, policy.action_dim)))
             s = eps["final_scores"]
+            scores = np.column_stack([s.sim, s.mos, s.intell, eps["final_fused"]])
             rows += _score_rows(spec, "rl", range(n), [profile.speaker_id] * n,
-                                np.column_stack([s.sim, s.mos, s.intell, eps["final_fused"]]))
+                                scores[np.arange(n) % m])
+        raw = mean_init(profile.refs)
         lim = float(np.max(np.abs(profile.refs))) + margin
         for ti, f_t in enumerate(spk_texts):
             for variant in baselines:
                 # read from the module at each call, so a replaced
                 # harness.finetune_proxy or oracle_zoom (perfbench wraps both) runs
                 if variant == "raw":
-                    e = mean_init(profile.refs)
+                    e = raw
                 elif variant == "finetune":
                     e, _ = finetune_proxy(env, profile, f_t)
                 else:

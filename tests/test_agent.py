@@ -680,7 +680,7 @@ def _rng_edit(state):
                  "gamma", id="invalid-config-value"),
     # a JSON integer past float64's range used to escape as an OverflowError
     pytest.param(lambda doc: {**doc, "config": {**doc["config"], "gamma": 10**400}},
-                 "int too large", id="config-int-past-float-range"),
+                 "gamma past float64's range", id="config-int-past-float-range"),
     pytest.param(lambda doc: {**doc, "params": 5}, "params", id="params-not-object"),
     pytest.param(lambda doc: {**doc, "step": "many"}, "step", id="bad-step"),
     # step is a JSON integer >= 0 and rng a string ("" for none), never coerced

@@ -217,7 +217,9 @@ FLOAT_SETTINGS = [f.name for f in dataclasses.fields(RLConfig) if f.type == "flo
     {"gamma": 1.5}, {"gamma": -0.1}, {"action_scale": 0.0},
     {"lambda1": -1.0}, {"steps_ss": 0}, {"clip_epsilon": 0.0},
     {"encoder": "transformer"}, {"k": 0}, {"hidden": 0}, {"train_iters": -1},
-] + [{name: v} for name in FLOAT_SETTINGS for v in (math.nan, math.inf, -math.inf)])
+] + [{name: v} for name in FLOAT_SETTINGS for v in (math.nan, math.inf, -math.inf)]
+  # an integer past float64's range, which float() refuses with an OverflowError
+  + [{name: v} for name in FLOAT_SETTINGS for v in (10**400, -10**400)])
 def test_config_validation_rejects(bad):
     with pytest.raises(ValueError, match="|".join(bad)):
         RLConfig(**bad).validate()

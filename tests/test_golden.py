@@ -5,8 +5,8 @@ On the machine that wrote the file (the same numpy version, OpenBLAS
 configuration string, `platform.machine()` and numpy CPU features), every
 sha256 prefix must match. Elsewhere BLAS and numpy may run other kernels,
 which round differently, so there the test compares the stored
-per-speaker (per-cell for the study commands) mean fused scores to 1e-12
-instead of the hashes.
+per-speaker (per-cell for the study commands) mean fused scores, and the
+grid oracle's best score, to 1e-12 instead of the hashes.
 """
 
 import csv
@@ -20,8 +20,9 @@ import pytest
 
 from asrrl import cli
 from asrrl.core import RLConfig
-from asrrl.harness import (ExperimentSpec, evaluate, evaluate_checkpoint, gen_corpus,
-                           train, write_rows)
+from asrrl.env import oracle_best
+from asrrl.harness import (ExperimentSpec, build_env, evaluate, evaluate_checkpoint,
+                           gen_corpus, train, write_rows)
 
 GOLDEN = json.loads(Path(__file__).with_name("golden.json").read_text())
 
@@ -80,6 +81,24 @@ def test_golden_outputs(tmp_path, name):
     write_rows(tmp_path / "rows.csv", result.rows)
     hashes[key] = _sha(tmp_path / "rows.csv")
     _check(case, hashes, result)
+
+
+def test_golden_oracle_grid(tmp_path):
+    """One full 128^3 oracle_best grid on the oracle_lowdim corpus: its best
+    embedding's bytes and score, whichever CPUs search its blocks."""
+    case = GOLDEN["oracle_grid"]
+    corpus = gen_corpus(**case["corpus"], path=tmp_path / "corpus.tsv")
+    m = corpus.meta
+    cfg = RLConfig(d_e=m["d_e"], d_t=m["d_t"], k=m["k"], **case["config"])
+    env, profiles, texts = build_env(ExperimentSpec(config=cfg), corpus)
+    profile = profiles[case["speaker"]]
+    lim = float(np.max(np.abs(profile.refs))) + 4.0 * case["corpus"]["sigma_ref"]
+    e_best, sc_best = oracle_best(env, profile, texts[case["speaker"]][case["text"]],
+                                  (-lim, lim, case["points"]))
+    if _machine() == GOLDEN["machine"]:
+        digest = hashlib.sha256(e_best.tobytes() + repr(sc_best).encode()).hexdigest()
+        assert {"oracle_best": digest[:12]} == case["sha256"]
+    assert abs(sc_best - case["sc_best"]) <= 1e-12
 
 
 def _cell_means(path) -> dict[str, float]:

@@ -719,24 +719,39 @@ def test_evaluate_row_counts_and_summary_consistency(tmp_path, corpus):
                    - np.mean([r["fused"] for r in sel])) <= 1e-9
 
 
-def _assert_rows_match_one_at_a_time_play(spec, corpus, policy):
+def _assert_rows_match_one_at_a_time_play(spec, corpus, policy, monkeypatch):
     """evaluate's rl rows against one-at-a-time mode play of every episode
     index, episode i on text i % n_texts: the same rows in the same order,
     every field but the scores equal, and the scores within 1e-12 (the
-    lockstep forward and batch scorer round differently from one row)."""
+    lockstep forward and batch scorer round differently from one row).
+    evaluate plays each speaker's m = min(n_texts, EVAL_EPISODES) distinct
+    texts in one m-row call, and its row i equals its row i % m bit for bit
+    in every field but the episode."""
     env, profiles, texts = build_env(spec, corpus)
     _, eval_idx = harness.split_speakers(len(profiles), spec.eval_frac)
+    n = harness.EVAL_EPISODES
+    m = min(len(texts[eval_idx[0]]), n)
     want = []
     for si in eval_idx:
-        for ei in range(harness.EVAL_EPISODES):
+        for ei in range(n):
             ep = harness.run_episode(env, policy, profiles[si],
                                      texts[si][ei % len(texts[si])], mode="mode")
             t = ep["final_scores"]
             want += harness._score_rows(spec, "rl", [ei], [profiles[si].speaker_id],
                                         [[t.sim, t.mos, t.intell, ep["final_fused"]]])
-    rows = evaluate(policy, spec, corpus, variants=("rl",)).rows
+    real, played = harness.run_episodes, []
+    with monkeypatch.context() as mp:
+        mp.setattr(harness, "run_episodes", lambda *args: played.append(args[4]) or real(*args))
+        rows = evaluate(policy, spec, corpus, variants=("rl",)).rows
+    assert [F.shape for F in played] == [(m, env.d_t)] * len(eval_idx)
+    for F, si in zip(played, eval_idx):
+        np.testing.assert_array_equal(F, texts[si][:m])
     scores = ("sim", "mos", "intell", "fused")
     assert len(rows) == len(want)
+    for i, got in enumerate(rows):
+        first = rows[i - i % n + i % n % m]
+        assert ({k: repr(v) for k, v in got.items() if k != "episode"}
+                == {k: repr(v) for k, v in first.items() if k != "episode"})
     for got, w in zip(rows, want):
         assert list(got) == list(w)
         assert ({k: v for k, v in got.items() if k not in scores}
@@ -746,13 +761,15 @@ def _assert_rows_match_one_at_a_time_play(spec, corpus, policy):
     assert len({r["fused"] for r in rows}) > 1
 
 
-@pytest.mark.parametrize("n_texts", [2, 3, 4])
+@pytest.mark.parametrize("n_texts", [1, 2, 3, 4, 101])
 @pytest.mark.parametrize("n", [1, 3, 7, 100])
-def test_evaluate_rows_match_one_at_a_time_play(tmp_path, n, n_texts):
-    """evaluate's lockstep call for one speaker, run_episodes on n copies of
-    its refs with its target broadcast, its texts cycled and zero noise,
-    plays episode i within 1e-12 of one-at-a-time mode play on text
-    i % n_texts; at n = EVAL_EPISODES, evaluate's own rows match too."""
+def test_evaluate_rows_match_one_at_a_time_play(tmp_path, monkeypatch, n, n_texts):
+    """run_episodes on n copies of a speaker's refs with its target
+    broadcast, its texts cycled and zero noise, plays episode i within
+    1e-12 of one-at-a-time mode play on text i % n_texts; at
+    n = EVAL_EPISODES, evaluate's own rows match too. With one text that is
+    one 1-row call per speaker and 100 equal rows; with 101 texts, episode
+    i is on text i."""
     corpus = gen_corpus(9, 10, 1, 4, 3, n_texts, tmp_path / "c.tsv")
     spec = _tiny_spec(tmp_path, corpus)
     env, profiles, texts = build_env(spec, corpus)
@@ -776,11 +793,12 @@ def test_evaluate_rows_match_one_at_a_time_play(tmp_path, n, n_texts):
             np.testing.assert_allclose(eps["rewards"][i], ep["rewards"], rtol=0, atol=1e-12)
         assert np.ptp(eps["rewards"]) > 0  # the moves are real
     if n == harness.EVAL_EPISODES:
-        _assert_rows_match_one_at_a_time_play(spec, corpus, policy)
+        _assert_rows_match_one_at_a_time_play(spec, corpus, policy, monkeypatch)
 
 
 @pytest.mark.parametrize("case", ["fs-k3", "tradeoff"])
-def test_evaluate_rows_match_one_at_a_time_play_in_fs_and_tradeoff(tmp_path, case):
+def test_evaluate_rows_match_one_at_a_time_play_in_fs_and_tradeoff(tmp_path, monkeypatch,
+                                                                   case):
     if case == "fs-k3":
         corpus = gen_corpus(9, 10, 3, 4, 3, 3, tmp_path / "c.tsv")
         spec = _tiny_spec(tmp_path, corpus)
@@ -793,13 +811,16 @@ def test_evaluate_rows_match_one_at_a_time_play_in_fs_and_tradeoff(tmp_path, cas
     policy = PolicyNetwork(env.layout, spec.scenario, k=spec.config.k, hidden=8,
                            rng=substream(3, "policy-init"))
     policy.params["mean.W"] *= 100.0
-    _assert_rows_match_one_at_a_time_play(spec, corpus, policy)
+    _assert_rows_match_one_at_a_time_play(spec, corpus, policy, monkeypatch)
 
 
 def test_evaluate_rl_rewards_telescope_in_one_call_per_speaker(tmp_path, monkeypatch):
-    """evaluate plays each evaluated speaker's episodes in one run_episodes
-    call, and every episode's rewards sum to its net fused gain."""
-    corpus = gen_corpus(9, 10, 1, 4, 3, 3, tmp_path / "c.tsv")
+    """evaluate plays each evaluated speaker's distinct texts in one
+    run_episodes call of min(n_texts, EVAL_EPISODES) rows, every episode's
+    rewards sum to its net fused gain, and each speaker still gets
+    EVAL_EPISODES rl rows."""
+    n_texts = 3
+    corpus = gen_corpus(9, 10, 1, 4, 3, n_texts, tmp_path / "c.tsv")
     spec = _tiny_spec(tmp_path, corpus)
     env, _, _ = build_env(spec, corpus)
     policy = PolicyNetwork(env.layout, "ss", k=1, hidden=8,
@@ -816,9 +837,10 @@ def test_evaluate_rl_rewards_telescope_in_one_call_per_speaker(tmp_path, monkeyp
     rows = evaluate(policy, spec, corpus, variants=("rl", "raw")).rows
     _, eval_idx = corpus.split(spec.eval_frac)
     assert len(played) == len(eval_idx)
+    m = min(n_texts, harness.EVAL_EPISODES)
     for eps in played:
-        assert eps["rewards"].shape == (harness.EVAL_EPISODES, spec.step_budget)
-        for i in range(harness.EVAL_EPISODES):
+        assert eps["rewards"].shape == (m, spec.step_budget)
+        for i in range(m):
             net = eps["final_fused"][i] - eps["initial_fused"][i]
             assert abs(math.fsum(eps["rewards"][i]) - net) <= 1e-9
     assert np.ptp(np.concatenate([eps["rewards"] for eps in played])) > 0
