@@ -180,10 +180,11 @@ def tanh_correction(raw: np.ndarray) -> np.ndarray:
 
 
 def action_log_prob(policy: PolicyNetwork, raw: np.ndarray, mean: np.ndarray,
-                    log_std: np.ndarray) -> np.ndarray:
+                    log_std: np.ndarray, squash: np.ndarray | None = None) -> np.ndarray:
+    """An SS policy's log-probs subtract squash, tanh_correction(raw) when not given."""
     lp = gaussian_log_prob(raw, mean, log_std)
     if policy.scenario == "ss":
-        lp = lp - tanh_correction(raw)
+        lp = lp - (tanh_correction(raw) if squash is None else squash.reshape(lp.shape))
     return lp
 
 
@@ -298,9 +299,7 @@ def ppo_loss_and_grads(policy: PolicyNetwork, batch: RolloutBatch, *,
         batch.states, batch.raw_actions, batch.log_probs, batch.advantages, batch.returns))
     n = len(A)
     mean, log_std, value, cache = policy.forward(states)
-    lp_new = gaussian_log_prob(raws, mean, log_std)
-    if policy.scenario == "ss":  # action_log_prob, with the squash term as given
-        lp_new = lp_new - (tanh_correction(raws) if squash is None else squash.reshape(n))
+    lp_new = action_log_prob(policy, raws, mean, log_std, squash)
     ratio = np.exp(lp_new - log_probs)
     max_ratio = float(np.max(ratio))
     if max_ratio > MAX_RATIO:

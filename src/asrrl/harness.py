@@ -653,12 +653,28 @@ def _apply_axis(spec: ExperimentSpec, axis: str, value: float) -> ExperimentSpec
     return replace(spec, config=spec.config.with_overrides(**{axis: value}))
 
 
-def sweep(spec: ExperimentSpec, axis: str, values, corpus: Corpus | None = None):
-    """One full train+evaluate per axis value, with shared seeds.
+def _run_study(spec: ExperimentSpec, cells, corpus: Corpus | None, name: str) -> list[dict]:
+    """Each (labels, cell) in order: train under the cell's config, evaluate
+    under it with spec.config's lambda1 and lambda2 (every cell scored under
+    the study's reward), label the rows. A failing cell raises as its own
+    type before anything is written; else out_dir/run_id/<name>.csv gets
+    the rows whole, label columns first, and they are returned."""
+    rows, lambdas = [], {"lambda1": spec.config.lambda1, "lambda2": spec.config.lambda2}
+    for labels, cell in cells:
+        policy, _ = train(cell, corpus, write_outputs=False)
+        judge = replace(cell, config=replace(cell.config, **lambdas))
+        rows += [{**labels, **r} for r in evaluate(policy, judge, corpus).rows]
+    spec.run_dir.mkdir(parents=True, exist_ok=True)
+    write_rows(spec.run_dir / f"{name}.csv", rows, columns=[*cells[0][0]] + RUN_COLUMNS)
+    return rows
 
-    Returns (long rows, per-value summary rows) and writes
-    sweep_<axis>.csv / sweep_<axis>_summary.csv under out_dir/run_id.
-    """
+
+def sweep(spec: ExperimentSpec, axis: str, values, corpus: Corpus | None = None):
+    """One _run_study cell per axis value, with shared seeds: each trains
+    with its value and is scored under spec.config's reward, so a lambda
+    sweep compares its policies on one yardstick. Returns (long rows,
+    per-value summary rows) and writes sweep_<axis>.csv and
+    sweep_<axis>_summary.csv under out_dir/run_id."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
     values = list(values)
@@ -667,19 +683,12 @@ def sweep(spec: ExperimentSpec, axis: str, values, corpus: Corpus | None = None)
     if len(set(values)) != len(values):
         raise ConfigError(f"duplicate sweep values: {values}")
     # every value is checked before the first point trains
-    points = [_apply_axis(spec, axis, value) for value in values]
-    long_rows, summary_rows = [], []
-    for value, point in zip(values, points):
-        point = replace(point, run_id=f"{spec.run_id}-{axis}-{value}")
-        policy, _ = train(point, corpus, write_outputs=False)
-        result = evaluate(policy, point, corpus)
-        for r in result.rows:
-            long_rows.append({**r, "axis": axis, "value": value})
-        for s in result.summary():
-            summary_rows.append({"axis": axis, "value": value, **s})
-    spec.run_dir.mkdir(parents=True, exist_ok=True)
-    write_rows(spec.run_dir / f"sweep_{axis}.csv", long_rows,
-               columns=["axis", "value"] + RUN_COLUMNS)
+    cells = [({"axis": axis, "value": value},
+              replace(_apply_axis(spec, axis, value), run_id=f"{spec.run_id}-{axis}-{value}"))
+             for value in values]
+    long_rows = _run_study(spec, cells, corpus, f"sweep_{axis}")
+    summary_rows = [{"axis": axis, "value": value, **s} for value in values
+                    for s in EvalResult([r for r in long_rows if r["value"] == value]).summary()]
     write_rows(spec.run_dir / f"sweep_{axis}_summary.csv", summary_rows)
     return long_rows, summary_rows
 
@@ -694,14 +703,14 @@ SCORE_TERM_VARIANTS = {
 
 
 def ablate(spec: ExperimentSpec, mode: str, corpus: Corpus | None = None):
-    """Reward-term or state-segment ablation grid.
+    """Reward-term or state-segment ablation grid, run through _run_study.
 
     mode="score_terms": 4 reward variants trained on the tradeoff
     environment. mode="state_segments": the 16-cell grid over prior
     segments {f_rv, f_t} x posterior segments {e_s, f_sv} on the voice
     environment; the embedding segment itself can never be disabled.
     Every cell is evaluated under spec.config's reward, whatever reward it
-    trained on.
+    trained on. Writes and returns ablate_<mode>.csv's rows.
     """
     if mode == "score_terms":
         cells = {name: replace(spec, env_kind="tradeoff",
@@ -713,19 +722,10 @@ def ablate(spec: ExperimentSpec, mode: str, corpus: Corpus | None = None):
                      include_e_s=e_s, include_f_sv=f_sv)
                  for f_rv, f_t, e_s, f_sv in itertools.product((False, True), repeat=4)}
     else:
-        raise ConfigError(
-            f"unknown ablation mode {mode!r}; choose score_terms or state_segments"
-        )
-    rows = []
-    for name, point in cells.items():
-        point = replace(point, run_id=f"{spec.run_id}-{name}")
-        policy, _ = train(point, corpus, write_outputs=False)
-        result = evaluate(policy, replace(point, config=spec.config), corpus)
-        rows += [{**r, "ablation": name} for r in result.rows]
-    spec.run_dir.mkdir(parents=True, exist_ok=True)
-    write_rows(spec.run_dir / f"ablate_{mode}.csv", rows,
-               columns=["ablation"] + RUN_COLUMNS)
-    return rows
+        raise ConfigError(f"unknown ablation mode {mode!r}; "
+                          "choose score_terms or state_segments")
+    return _run_study(spec, [({"ablation": name}, replace(cell, run_id=f"{spec.run_id}-{name}"))
+                             for name, cell in cells.items()], corpus, f"ablate_{mode}")
 
 
 # -- CSV -------------------------------------------------------------------

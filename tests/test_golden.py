@@ -114,7 +114,9 @@ def _cell_means(path) -> dict[str, float]:
 
 def test_golden_studies(tmp_path):
     """The sweep and ablate commands end to end through cli.run, which
-    reads the config file and lays the corpus's dimensions over it."""
+    reads the config file and lays the corpus's dimensions over it. The
+    lambda1 sweep pins the study scoring rule: every cell is fused with
+    the config file's lambdas, whatever lambda1 it trained with."""
     case = GOLDEN["studies"]
     corpus_path, cfg_path = tmp_path / "corpus.tsv", tmp_path / "config.txt"
     gen_corpus(**case["corpus"], path=corpus_path)

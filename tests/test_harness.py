@@ -1114,15 +1114,64 @@ def test_sweep_refuses_duplicates_and_unknown_axis(tmp_path, corpus):
     assert not (tmp_path / "t").exists()
 
 
-def test_sweep_emits_complete_csvs(tmp_path, corpus):
+@pytest.mark.parametrize("axis", ["gamma", "lambda1"])
+def test_sweep_emits_complete_csvs(tmp_path, corpus, axis):
     spec = _tiny_spec(tmp_path, corpus)
-    long_rows, summary = sweep(spec, "gamma", [0.0, 0.9], corpus)
+    long_rows, summary = sweep(spec, axis, [0.0, 0.9], corpus)
     assert {r["value"] for r in long_rows} == {0.0, 0.9}
-    got = _read_csv(tmp_path / "t" / "sweep_gamma.csv")
+    got = _read_csv(tmp_path / "t" / f"sweep_{axis}.csv")
     assert len(got) == len(long_rows)
     assert list(got[0]) == ["axis", "value"] + harness.RUN_COLUMNS
-    assert (tmp_path / "t" / "sweep_gamma_summary.csv").exists()
+    assert (tmp_path / "t" / f"sweep_{axis}_summary.csv").exists()
     assert {s["value"] for s in summary} == {0.0, 0.9}
+    # every cell is scored under spec.config's reward: the raw embeddings,
+    # which no training moves, score the same in every cell, whatever the axis
+    raw = {value: [(r["sim"], r["mos"], r["intell"], r["fused"]) for r in long_rows
+                   if r["value"] == value and r["variant"] == "raw"] for value in (0.0, 0.9)}
+    assert raw[0.0] and raw[0.0] == raw[0.9]
+
+
+@pytest.mark.parametrize("command, error, code", [
+    (["sweep", "--axis", "gamma", "--values", "0.3,0.6"], DivergenceError, 3),
+    (["ablate", "--mode", "score_terms"], ConfigError, 2)], ids=["sweep", "ablate"])
+def test_study_whose_second_cell_fails_writes_nothing(tmp_path, monkeypatch, command,
+                                                      error, code):
+    """The first failing cell, in cell order, reaches cli.main as its own
+    type: no study CSV is created, and one that was there keeps its bytes."""
+    corpus_path = tmp_path / "c.tsv"
+    _cli("gen-data", "--seed", "3", "--speakers", "6", "--refs", "1",
+         "--dim-e", "3", "--dim-t", "2", "--texts", "2", "--out", str(corpus_path))
+    cfg_path = tmp_path / "cfg"
+    cfg_path.write_text("train_iters=1\nrollout_batch=8\nhidden=4\n")
+    trained, real_train = [], harness.train
+
+    def fail_second(cell, corpus, **kw):
+        trained.append(cell.run_id)
+        if len(trained) == 2:
+            raise error(f"cell {cell.run_id} failed")
+        return real_train(cell, corpus, **kw)
+
+    monkeypatch.setattr(harness, "train", fail_second)
+    run_dir = tmp_path / "runs" / "s"
+    outs = ([f"sweep_{command[2]}.csv", f"sweep_{command[2]}_summary.csv"]
+            if command[0] == "sweep" else [f"ablate_{command[2]}.csv"])
+    argv = command + ["--corpus", str(corpus_path), "--config", str(cfg_path),
+                      "--out", str(tmp_path / "runs"), "--run-id", "s"]
+
+    def run_and_fail():
+        trained.clear()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == code
+        assert len(trained) == 2 and trained[0] != trained[1]  # the first cell trained
+
+    run_and_fail()
+    assert not [out for out in outs if (run_dir / out).exists()]
+    run_dir.mkdir(parents=True, exist_ok=True)
+    for out in outs:
+        (run_dir / out).write_bytes(b"old,bytes\r\n")
+    run_and_fail()
+    assert [(run_dir / out).read_bytes() for out in outs] == [b"old,bytes\r\n"] * len(outs)
 
 
 def test_ablate_score_terms_emits_four_variants(tmp_path):
@@ -1716,10 +1765,10 @@ def test_cli_config_lambdas_reach_the_reward(tmp_path):
         assert rows and any(float(r["mos"]) > 0 for r in rows)
         for r in rows:
             assert float(r["fused"]) == float(r["sim"]) - 0.2 * float(r["intell"])
-    # each sweep point trains and scores with its own lambda1
+    # each sweep point trains with its own lambda1 and is scored under the
+    # base spec's lambdas: lambda1=0.0 from the config file, lambda2=0.1
     base = replace(spec, config=spec.config.with_overrides(lambda2=0.1))
     long_rows, _ = sweep(base, "lambda1", [0.0, 1.0], corpus)
     assert {r["value"] for r in long_rows} == {0.0, 1.0}
     for r in long_rows:
-        assert r["fused"] == (r["sim"] + r["value"] * (r["mos"] / 5.0)
-                              - 0.1 * r["intell"])
+        assert r["fused"] == r["sim"] - 0.1 * r["intell"]
