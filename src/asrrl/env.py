@@ -67,17 +67,13 @@ class EpisodeError(RuntimeError):
     """Misuse of the episode protocol (stepping when done, wrong action kind)."""
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 class _EnvBase:
     """Episode mechanics shared by both synthetic environments.
 
-    Subclasses provide score components via ``_triple`` (one embedding) /
-    ``_triple_batch`` (rows) and speech synthesis via ``synth``. The
-    stateless helpers (``state``, ``prior_voiceprint``, ``move``,
-    ``score_rows``) take one episode's vectors or (N, .) row batches;
+    Subclasses provide score components via ``_triple_batch`` (rows; by
+    default also one embedding, through ``_triple``) and speech synthesis
+    via ``synth``. The stateless helpers (``state``, ``prior_voiceprint``,
+    ``move``, ``score_rows``) take one episode's vectors or (N, .) row batches;
     harness.run_episodes and the reset/step protocol play on them.
     """
 
@@ -107,7 +103,8 @@ class _EnvBase:
         raise NotImplementedError
 
     def _triple(self, f_t, e, target) -> ScoreTriple:
-        raise NotImplementedError
+        """The scores of one embedding e (d_e,): the row kernel on it."""
+        return ScoreTriple(*self._triple_batch(f_t, e, target))
 
     def _triple_batch(self, f_t, E, target):
         """(sim, mos, intell) arrays for the rows of E. f_t is one text
@@ -340,6 +337,7 @@ class SyntheticVoiceEnv(_EnvBase):
         return 5.0 * decay, 1.0 - decay
 
     def _triple(self, f_t, e, target) -> ScoreTriple:
+        # overrides the row-kernel default: under half the time of a one-row batch
         vp = self.voiceprint(f_t, e)
         sim = cosine_similarity_score(vp, target)
         mos, intell = self._shell_scores(math.sqrt(e.dot(e)))
@@ -373,8 +371,9 @@ class SyntheticVoiceEnv(_EnvBase):
 # numpy calls whatever the row count. The two cross near 50 rows at 3 columns
 # and near 160 at 8, and the threshold keeps a margin; from 16 columns the
 # column form is the slower at every row count timed (README). Fine-tune
-# steps (7 rows), training (86) and evaluation (100) batches stay below the
-# threshold, oracle blocks above it.
+# steps (2 * d_e + 1 rows: 7 at d_e=3, 33 at d_e=16), training (86) and
+# evaluation (min(texts, 100): 4 on ss_ref) batches stay below the threshold,
+# oracle blocks above it.
 COLUMN_SUM_MIN_ROWS = 256
 
 
@@ -437,18 +436,10 @@ class TradeoffEnv(_EnvBase):
         refs = center + self.SIGMA_REF * rng.standard_normal((k, self.d_e))
         return SpeakerProfile(speaker_id, center, refs, self.w.copy())
 
-    def _scores_from_proj(self, z):
-        sim = _sigmoid(z)
-        excess = np.maximum(0.0, z - self.tau)
-        mos = 5.0 * np.exp(-excess)
-        intell = 1.0 - np.exp(-excess)
-        return sim, mos, intell
-
-    def _triple(self, f_t, e, target) -> ScoreTriple:
-        return ScoreTriple(*self._triple_batch(f_t, e, target))
-
     def _triple_batch(self, f_t, E, target):
-        return self._scores_from_proj(np.asarray(E, dtype=np.float64) @ self.w)
+        z = np.asarray(E, dtype=np.float64) @ self.w
+        excess = np.maximum(0.0, z - self.tau)
+        return 1.0 / (1.0 + np.exp(-z)), 5.0 * np.exp(-excess), 1.0 - np.exp(-excess)
 
 
 MAX_GRID_POINTS = 10_000_000
@@ -529,7 +520,7 @@ def oracle_best(env: _EnvBase, profile: SpeakerProfile, f_t: np.ndarray,
             rows = block[:count * slab]
             sc = env.fused_batch(f_t, rows, profile)
             i = int(np.argmax(sc))
-            if sc[i] > best_sc:  # a later block must score strictly higher to win
+            if sc[i] > best_sc:  # ties keep the earlier block; a NaN never wins
                 best_sc, best_e = float(sc[i]), rows[i].copy()  # the block is rewritten
         return best_e, best_sc
 
@@ -557,13 +548,10 @@ def oracle_best(env: _EnvBase, profile: SpeakerProfile, f_t: np.ndarray,
     finally:  # also on KeyboardInterrupt: no helper outlives the call
         for t in helpers:
             t.join()
-    best_e, best_sc = None, -np.inf
     for got in found:  # in grid order, so the first error is the serial loop's
         if isinstance(got, BaseException):
             raise got
-        if got[1] > best_sc:
-            best_e, best_sc = got
-    return best_e, best_sc
+    return found[int(np.argmax([sc for _, sc in found]))]
 
 
 def oracle_zoom(env, profile: SpeakerProfile, f_t: np.ndarray,
@@ -582,15 +570,14 @@ def oracle_zoom(env, profile: SpeakerProfile, f_t: np.ndarray,
     d_e = profile.true_embedding.shape[0]
     los = np.full(d_e, float(lo))
     his = np.full(d_e, float(hi))
-    best_e, best_sc = None, -np.inf
+    rounds = []
     for r in range(4):
         specs = [(los[i], his[i], points) for i in range(d_e)]
         e, sc = oracle_best(env, profile, f_t, specs)
         if e is None:
             raise ValueError(f"oracle_zoom round {r + 1} of 4: every grid point "
                              f"scores -inf or NaN")
-        if sc > best_sc:
-            best_e, best_sc = e, sc
+        rounds.append((e, sc))
         h = (his - los) / max(points - 1, 1)
         los, his = e - h, e + h
-    return best_e, best_sc
+    return rounds[int(np.argmax([sc for _, sc in rounds]))]

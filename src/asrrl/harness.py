@@ -125,6 +125,13 @@ def _parse_fields(fields: list[str], shapes, where: str) -> list[np.ndarray]:
     return [_parse_rows(f, n, w, where, name) for f, (name, n, w) in zip(fields, shapes)]
 
 
+def _check_count(name: str, value, least: int = 1) -> None:
+    """ConfigError naming name unless value is an integer, not a bool, >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        kind = "non-negative" if least == 0 else "positive"
+        raise ConfigError(f"{name} must be a {kind} integer, got {value!r}")
+
+
 CORPUS_META_KEYS = {
     "d_e": int, "d_t": int, "d_v": int, "d_s": int, "k": int, "seed": int,
     "n_speakers": int, "texts_per_speaker": int,
@@ -141,15 +148,14 @@ def gen_corpus(seed: int, n_speakers: int, k_refs: int, d_e: int, d_t: int,
     dimension and seed needed to reconstruct the matching environment.
     It is written whole or not at all. sigma_ref must be finite, >= 0 and
     small enough that (sigma_star² + sigma_ref²)·d_e <= 1e300 (sigma_star
-    is the environment's 0.005); anything else is a ConfigError.
+    is the environment's 0.005). Each count must be an integer (not a
+    bool) >= 1 and the seed one >= 0; anything else is a ConfigError.
     """
     for name, n in [("n_speakers", n_speakers), ("k_refs", k_refs),
                     ("d_e", d_e), ("d_t", d_t),
                     ("texts_per_speaker", texts_per_speaker)]:
-        if n < 1:
-            raise ConfigError(f"{name} must be >= 1, got {n}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+        _check_count(name, n)
+    _check_count("seed", seed, least=0)
     try:
         env = SyntheticVoiceEnv(d_e=d_e, d_t=d_t, seed=seed, sigma_ref=sigma_ref)
     except ValueError as exc:
@@ -209,10 +215,9 @@ def load_corpus(path) -> Corpus:
             except ValueError:
                 raise ConfigError(f"{path}:1: header {key}={val!r} is not "
                                   f"{'an integer' if kind is int else 'a number'}") from None
-            least = 0 if key == "seed" else 1  # a seed may be 0, a size or count not
-            if kind is int and meta[key] < least:
-                raise ConfigError(f"{path}:1: header {key} must be >= {least}, "
-                                  f"got {meta[key]}")
+            if kind is int:  # a seed may be 0, a size or count not
+                _check_count(f"{path}:1: header {key}", meta[key],
+                             least=0 if key == "seed" else 1)
         missing = set(CORPUS_META_KEYS) - set(meta)
         if missing:
             raise ConfigError(f"{path}:1: corpus header missing keys {sorted(missing)}")
@@ -616,28 +621,29 @@ def finetune_proxy(env, profile, f_t, *, steps: int = 2000):
     Central finite differences with step h = 1e-4 stand in for
     fine-tuning a real model; each step scores the stencil e + [0; hI; -hI]
     in one fused_batch call. Returns (best embedding, best fused score)
-    over the whole trajectory, starting from the raw embedding's score.
+    over the whole trajectory, starting from the raw embedding's score
+    (ties: the earliest point). steps must be an integer (not a bool)
+    >= 1; anything else is a ConfigError.
     """
-    if steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {steps}")
+    _check_count("steps", steps)
     h = 1e-4
     e = mean_init(profile.refs)
     d = e.shape[0]
-    best_e, best_sc = e.copy(), env.fused(f_t, e, profile)
+    path, scores = [e.copy()], [env.fused(f_t, e, profile)]
     stencil = np.concatenate([np.zeros((1, d)), h * np.eye(d), -h * np.eye(d)])
     for _ in range(steps):
         sc = env.fused_batch(f_t, e + stencil, profile)
-        if sc[0] > best_sc:
-            best_sc, best_e = float(sc[0]), e
+        path.append(e)
+        scores.append(float(sc[0]))
         grad = (sc[1:d + 1] - sc[d + 1:]) / (2 * h)
         if not np.isfinite(grad).all():
             raise FloatingPointError("non-finite fused-score gradient at "
                                      f"coordinate {np.argmin(np.isfinite(grad))}")
         e = e + FINETUNE_STEP_SIZE * grad
-    sc = float(env.fused_batch(f_t, e[None], profile)[0])
-    if sc > best_sc:
-        best_sc, best_e = sc, e
-    return best_e, best_sc
+    path.append(e)
+    scores.append(float(env.fused_batch(f_t, e[None], profile)[0]))
+    best = int(np.argmax(scores))
+    return path[best], scores[best]
 
 
 # -- sweeps and ablations --------------------------------------------------

@@ -895,7 +895,9 @@ def test_tradeoff_score_state_is_the_projection_formula_bitwise():
         for e in E:
             z = float(env.w @ e)
             past_tau += z > env.tau
-            want = [float(v) for v in env._scores_from_proj(z)]
+            excess = np.maximum(0.0, z - env.tau)
+            want = [float(v) for v in (1.0 / (1.0 + np.exp(-z)), 5.0 * np.exp(-excess),
+                                       1.0 - np.exp(-excess))]
             t = env.score_state(np.zeros(2), e, p)
             got = [t.sim, t.mos, t.intell]
             assert np.array(got).tobytes() == np.array(want).tobytes(), (d, e)

@@ -88,6 +88,13 @@ def test_gen_corpus_count_contract(tmp_path):
 def test_gen_corpus_validates_sizes(tmp_path):
     with pytest.raises(ConfigError):
         gen_corpus(0, 0, 1, 2, 2, 1, tmp_path / "c.tsv")
+    # a count that is not an integer (a float, a bool, a string) is a
+    # ConfigError naming it, not a TypeError from deeper down
+    for name, args in (("n_speakers", (0, 3.0, 1, 2, 2, 1)),
+                       ("k_refs", (0, 2, True, 2, 2, 1)),
+                       ("texts_per_speaker", (0, 2, 1, 2, 2, "2"))):
+        with pytest.raises(ConfigError, match=name):
+            gen_corpus(*args, tmp_path / "c.tsv")
     # a reference spread that is not finite and >= 0 fails before any file
     for sigma_ref in (math.nan, math.inf, -0.01):
         with pytest.raises(ConfigError, match="sigma_ref"):
@@ -1096,6 +1103,9 @@ def test_finetune_validates_steps(tmp_path, corpus):
     env, profiles, texts = build_env(spec, corpus)
     with pytest.raises(ConfigError):
         finetune_proxy(env, profiles[0], texts[0][0], steps=0)
+    for steps in (2.5, "10"):
+        with pytest.raises(ConfigError, match="steps"):
+            finetune_proxy(env, profiles[0], texts[0][0], steps=steps)
 
 
 # -- sweeps and ablations --------------------------------------------------
